@@ -9,6 +9,9 @@ is refined dyadically and refinement stops once two consecutive levels agree
 on a probe grid, a practical stand-in for the uniform Cauchy bound
 ``|F_m(x) - F_n(x)| <= (x - a) * sup|f_m - f_n|``.
 
+The refinement kernel (``_dyadic_levels``) and the mesh stall rule
+(``_stalled``) are shared with ``fubini``'s inner integrals.
+
 The result is normalised to vanish exactly at the left endpoint.
 """
 
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,8 +137,8 @@ class PiecewisePrimitive:
         return 2.0 * self.half_u[i] * x + self.v[i]
 
 
-def _level_from_nodes(xs: np.ndarray, vals: np.ndarray, level: int,
-                      gap: float, history: Tuple[float, ...]) -> PiecewisePrimitive:
+def _level_from_nodes(xs: np.ndarray, vals: np.ndarray,
+                      level: int) -> PiecewisePrimitive:
     dx = np.diff(xs)
     u = np.diff(vals) / dx
     half_u = 0.5 * u
@@ -150,15 +153,48 @@ def _level_from_nodes(xs: np.ndarray, vals: np.ndarray, level: int,
     return PiecewisePrimitive(
         breakpoints=xs, half_u=half_u, v=v, w=w,
         base_point=float(xs[0]), refinement_level=level,
-        cauchy_delta=gap, gap_history=history)
+        cauchy_delta=math.inf)
 
 
-def _check_values(vals: np.ndarray, label: str) -> None:
-    if not np.all(np.isfinite(vals)):
-        bad = np.flatnonzero(~np.isfinite(vals))[0]
+def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        node = nodes[np.nonzero(~np.isfinite(values))[-1][0]]
         raise EvaluationFailure(
             f"integrand {label or '<unnamed>'} returned a non-finite value "
-            f"at mesh node index {bad}")
+            f"at mesh node {float(node)!r}")
+    return values
+
+
+def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
+                   a: float, b: float, max_refinement: int, label: str
+                   ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (level, nodes, values) on the dyadic meshes of [a, b], evaluating
+    only the new midpoints; values' last axis runs over the nodes (one row
+    from f.many, or 2-D grid rows).  Non-finite values: EvaluationFailure."""
+    nodes = np.array([a, b], dtype=float)
+    values = _finite(evaluate(nodes), nodes, label)
+    yield 0, nodes, values
+    for level in range(1, max_refinement + 1):
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        # evaluate before allocating the next level: allocating first
+        # ran slower on the 2-D inner integrals
+        mid_values = _finite(evaluate(mids), mids, label)
+        new_nodes = np.empty(2 * len(nodes) - 1, dtype=float)
+        new_nodes[0::2] = nodes
+        new_nodes[1::2] = mids
+        new_values = np.empty(values.shape[:-1] + new_nodes.shape, dtype=float)
+        new_values[..., 0::2] = values
+        new_values[..., 1::2] = mid_values
+        nodes, values = new_nodes, new_values
+        yield level, nodes, values
+
+
+def _stalled(gaps: Sequence[float], target: float, runs: int,
+             min_level: int) -> bool:
+    """Mesh stall: the last `runs` gaps (gaps[k-1] is level k's) are within
+    target, at a level of at least min_level."""
+    return (len(gaps) >= max(runs, min_level)
+            and all(gap <= target for gap in gaps[-runs:]))
 
 
 def build_primitive(f: Union[RealFunction, Callable[[float], float]],
@@ -166,10 +202,10 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                     cfg: BuildConfig = DEFAULT_BUILD_CONFIG) -> PiecewisePrimitive:
     """Build an antiderivative of a continuous f on a finite interval.
 
-    Node values are cached across levels (each refinement only evaluates
-    the new midpoints), so the total cost is that of the finest mesh.
-    Raises RefinementExhausted when the probe-grid Cauchy criterion is not
-    met within cfg.max_refinement levels.
+    The nodes come from the shared dyadic kernel, so the total cost is
+    that of the finest mesh.  Raises RefinementExhausted when the
+    probe-grid Cauchy criterion is not met within cfg.max_refinement
+    levels, and EvaluationFailure when f is not finite at a node.
     """
     f = real_function(f)
     iv = as_interval(domain)
@@ -177,44 +213,26 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
         raise ValueError("build_primitive needs a finite interval; integrate "
                          "over rays by truncation with a tail limit instead")
     a, b = iv.a, iv.b
-    length = b - a
-
-    xs = np.array([a, b], dtype=float)
-    vals = f.many(xs)
-    _check_values(vals, f.label)
-    current = _level_from_nodes(xs, vals, 0, math.inf, ())
-
+    target = cfg.target_uniform_gap * (b - a)
     probe = np.linspace(a, b, cfg.probe_grid)
-    probe_prev = current.many(probe)
     history: Tuple[float, ...] = ()
-    prev_gap = math.inf
 
-    for level in range(1, cfg.max_refinement + 1):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        new_xs = np.empty(2 * len(xs) - 1, dtype=float)
-        new_xs[0::2] = xs
-        new_xs[1::2] = mids
-        new_vals = np.empty_like(new_xs)
-        new_vals[0::2] = vals
-        mid_vals = f.many(mids)
-        _check_values(mid_vals, f.label)
-        new_vals[1::2] = mid_vals
-        xs, vals = new_xs, new_vals
-
-        gap_probe = _level_from_nodes(xs, vals, level, math.inf, ())
-        probe_cur = gap_probe.many(probe)
-        gap = float(np.max(np.abs(probe_cur - probe_prev)))
-        history = history + (gap,)
-        target = cfg.target_uniform_gap * length
-        if level >= cfg.min_refinement and gap <= target and prev_gap <= target:
-            return _level_from_nodes(xs, vals, level, gap, history)
+    for level, xs, vals in _dyadic_levels(f.many, a, b, cfg.max_refinement,
+                                          f.label):
+        current = _level_from_nodes(xs, vals, level)
+        probe_cur = current.many(probe)
+        if level > 0:
+            gap = float(np.max(np.abs(probe_cur - probe_prev)))
+            history = history + (gap,)
+            if _stalled(history, target, 2, cfg.min_refinement):
+                return replace(current, cauchy_delta=gap,
+                               gap_history=history)
         probe_prev = probe_cur
-        prev_gap = gap
 
     raise RefinementExhausted(
         f"no Cauchy stall for {f.label or '<unnamed>'} on [{a}, {b}] within "
         f"{cfg.max_refinement} refinements (last gap {history[-1]:.3e}, "
-        f"target {cfg.target_uniform_gap * length:.3e})")
+        f"target {target:.3e})")
 
 
 def derivative_check(P: PiecewisePrimitive,
@@ -252,10 +270,11 @@ def from_json_dict(blob: dict) -> PiecewisePrimitive:
         raise ValueError(f"unsupported primitive blob version "
                          f"{blob.get('version')!r}")
     pieces = np.asarray(blob["pieces"], dtype=float)
-    if pieces.shape != (blob["k"], 3):
+    breakpoints = np.asarray(blob["breakpoints"], dtype=float)
+    if (pieces.shape, breakpoints.shape) != ((blob["k"], 3), (blob["k"] + 1,)):
         raise ValueError("piece table shape does not match header")
     return PiecewisePrimitive(
-        breakpoints=np.asarray(blob["breakpoints"], dtype=float),
+        breakpoints=breakpoints,
         half_u=pieces[:, 0].copy(), v=pieces[:, 1].copy(), w=pieces[:, 2].copy(),
         base_point=float(blob["base_point"]),
         refinement_level=int(blob["refinement_level"]),
@@ -267,4 +286,8 @@ def dumps(P: PiecewisePrimitive) -> str:
 
 
 def loads(text: str) -> PiecewisePrimitive:
-    return from_json_dict(json.loads(text))
+    """Inverse of dumps; raises ValueError for any blob it cannot read."""
+    try:
+        return from_json_dict(json.loads(text))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed primitive blob: {exc!r}") from exc

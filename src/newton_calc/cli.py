@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -235,12 +236,20 @@ def _cmd_integrate(args, out) -> int:
             key = f"{args.function_id}_{lo!r}_{hi!r}_v{builder.SERIALIZATION_VERSION}.json"
             cache_path = Path(args.cache_dir) / key.replace("/", "_")
             if cache_path.exists():
-                P = builder.loads(cache_path.read_text())
+                try:
+                    P = builder.loads(cache_path.read_text())
+                except ValueError:
+                    pass  # unreadable blob: a miss, rebuilt and rewritten
         if P is None:
             P = build_primitive(nf.fn, (lo, hi))
             if cache_path is not None:
                 cache_path.parent.mkdir(parents=True, exist_ok=True)
-                cache_path.write_text(builder.dumps(P))
+                # temp file plus rename: no reader sees a partial blob
+                with tempfile.NamedTemporaryFile(
+                        "w", dir=cache_path.parent, suffix=".tmp",
+                        delete=False) as tmp:
+                    tmp.write(builder.dumps(P))
+                os.replace(tmp.name, cache_path)
         pair = pair_from_primitive(P, nf.fn)
         built_level = P.refinement_level
     else:

@@ -285,7 +285,7 @@ def _stalled_limit(points: Sequence[float], F: RealFunction,
                 streak = 0
         prev = val
     raise NonConvergent(
-        f"{what}: no stall within {cfg.max_steps} steps "
+        f"{what}: no stall within {len(points)} steps "
         f"(last delta {last_delta:.3e})",
         last_value=prev, last_delta=last_delta, steps_used=len(points))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .builder import PiecewisePrimitive
 from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig, LimitResult,
-                   NewtonCalcError, NonConvergent, RealFunction, as_interval,
+                   NewtonCalcError, RealFunction, _stalled_limit, as_interval,
                    chebyshev_samples, limit_at_infinity, one_sided_limit,
                    real_function)
 
@@ -209,8 +209,8 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
     """Full-interval integral versus the limit of truncated integrals.
 
     The truncation points must increase toward the upper endpoint.  Each
-    truncated integral is F(c) - F(lo+) (F is continuous at interior c),
-    and the sequence is subjected to the same stall rule as any limit.
+    truncated integral is F(c) - F(lo+) (F is continuous at interior c); the
+    limit kernel stalls on them and never evaluates points past the stall.
     """
     full = newton_integral(pair, cfg)
     if truncation_schedule is None:
@@ -223,24 +223,15 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
                                    for k in range(cfg.max_steps)]
     lower = _endpoint_limit(pair.primitive, pair.domain.a, "lower", cfg)
 
-    prev = None
-    streak = 0
-    rhs = None
-    cs = [float(c) for c in truncation_schedule]
-    for c in cs:
+    def truncated(c: float) -> float:
         if not pair.domain.contains(c):
             raise SplitPointOutsideInterval(
                 f"truncation point {c!r} not interior to the domain")
-        partial = pair.primitive(c) - lower.value
-        if prev is not None:
-            delta = abs(partial - prev)
-            streak = streak + 1 if delta <= cfg.stall_tolerance else 0
-            if streak >= 3:
-                rhs = partial
-                break
-        prev = partial
-    if rhs is None:
-        raise NonConvergent("hake_check: truncated integrals did not stall")
+        return pair.primitive(c) - lower.value
+
+    rhs = _stalled_limit([float(c) for c in truncation_schedule],
+                         RealFunction(truncated), cfg,
+                         "hake_check: truncated integrals").value
     tol = default_identity_tolerance(pair.domain)
     return IdentityReport.equality(full.value, rhs, tol)
 

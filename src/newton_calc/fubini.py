@@ -8,10 +8,10 @@ box), and an explicit family witnessing that the two orders need not both
 exist over infinite rectangles.
 
 Inner integrals are evaluated on a mesh shared across all outer nodes and
-refined dyadically until the values stall; the value of the patched
-piecewise-quadratic antiderivative at the right endpoint is exactly the
-composite trapezoid sum of the interpolant, which is what the shared-mesh
-evaluator computes.
+refined by the builder's kernel until the values stall (``_dyadic_levels``,
+``_stalled``); the value of the patched piecewise-quadratic antiderivative
+at the right endpoint is exactly the composite trapezoid sum of the
+interpolant, which is what the shared-mesh evaluator computes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .builder import BuildConfig, RefinementExhausted, build_primitive
+from .builder import (BuildConfig, RefinementExhausted, _dyadic_levels,
+                      _stalled, build_primitive)
 from .core import DecayViolation, Interval, RealFunction, as_interval
 from .engine import PrimitivePair, newton_integral, pair_from_primitive
 
@@ -128,10 +129,10 @@ class IteratedIntegralReport:
     value_yx: float
     discrepancy: float
     truncation: float
+    holds: bool
     tail_certificate: Optional[TailBound] = None
     analytic_tail: Optional[float] = None
     full_value: Optional[float] = None
-    holds: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -160,39 +161,24 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
 
     for start in range(0, len(xs), _INNER_CHUNK):
         chunk = xs[start:start + _INNER_CHUNK]
-        ys = np.array([c, d], dtype=float)
-        vals = f.grid(chunk, ys)
-        if not np.all(np.isfinite(vals)):
-            raise RefinementExhausted("integrand not finite on the rectangle")
-        h = length
-        current = 0.5 * h * (vals[:, 0] + vals[:, -1])
-        level = 0
-        small_streak = 0
-        while True:
-            level += 1
-            if level > cfg.max_refinement:
-                raise RefinementExhausted(
-                    f"inner integrals did not stall within "
-                    f"{cfg.max_refinement} refinements")
-            mids = 0.5 * (ys[:-1] + ys[1:])
-            mid_vals = f.grid(chunk, mids)
-            if not np.all(np.isfinite(mid_vals)):
-                raise RefinementExhausted(
-                    "integrand not finite on the rectangle")
-            new_ys = np.empty(2 * len(ys) - 1, dtype=float)
-            new_ys[0::2] = ys
-            new_ys[1::2] = mids
-            new_vals = np.empty((len(chunk), len(new_ys)), dtype=float)
-            new_vals[:, 0::2] = vals
-            new_vals[:, 1::2] = mid_vals
-            ys, vals = new_ys, new_vals
-            h *= 0.5
-            refined = h * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-            gap = float(np.max(np.abs(refined - current)))
+        gaps: List[float] = []
+        levels = _dyadic_levels(lambda ys: f.grid(chunk, ys), c, d,
+                                cfg.max_refinement, f.label)
+        for level, _ys, vals in levels:
+            h = math.ldexp(length, -level)
+            ends = vals[:, 0] + vals[:, -1]
+            if level == 0:
+                current = 0.5 * h * ends
+                continue
+            refined = h * (vals.sum(axis=1) - 0.5 * ends)
+            gaps.append(float(np.max(np.abs(refined - current))))
             current = refined
-            small_streak = small_streak + 1 if gap <= target else 0
-            if level >= min_level and small_streak >= 3:
+            if _stalled(gaps, target, 3, min_level):
                 break
+        else:
+            raise RefinementExhausted(
+                f"inner integrals did not stall within "
+                f"{cfg.max_refinement} refinements")
         out[start:start + _INNER_CHUNK] = current
     return out
 
@@ -474,7 +460,6 @@ def counterexample_family() -> BivariateFunction:
 @lru_cache(maxsize=None)
 def _unit_exponential_integral() -> float:
     """Integral of exp(-y) over (0, inf) through the limit machinery."""
-    from .engine import PrimitivePair
     pair = PrimitivePair(
         RealFunction(lambda y: math.exp(-y)),
         RealFunction(lambda y: -math.exp(-y)),
@@ -562,11 +547,7 @@ def asymmetry_counterexample(X: float,
     P = build_primitive(inner, (0.0, X), cfg)
     xy_value = float(P.evaluate(X))
 
-    family = counterexample_family()
-    line = RealFunction(
-        lambda x: family(x, 1.0),
-        vector_fn=lambda xs: family.vector_fn(
-            np.asarray(xs, float), np.ones_like(np.asarray(xs, float))))
+    line = counterexample_family().transposed().section_at_x(1.0)
     P_line = build_primitive(line, (0.0, X), cfg)
     yx_partial = float(P_line.evaluate(X))
     return CounterexampleReport(truncation=X, order_xy_value=xy_value,
@@ -580,12 +561,6 @@ def counterexample_section_integral(y: float, upper: float = 60.0,
     Finite for every y != 1 (the ridge width decays), and growing without
     bound in the truncation at y = 1.
     """
-    f = counterexample_family()
-    fn = f.fn
-    vec = f.vector_fn
-    section = RealFunction(
-        lambda x, _y=float(y): fn(x, _y),
-        vector_fn=lambda xs, _y=float(y): vec(np.asarray(xs, float),
-                                              np.full_like(np.asarray(xs, float), _y)))
+    section = counterexample_family().transposed().section_at_x(y)
     P = build_primitive(section, (0.0, upper), cfg)
     return float(P.evaluate(upper))

@@ -339,8 +339,8 @@ def gauss_integral(verify_fubini_at: Optional[float] = None,
 def gauss_half_line(side: str = "pos") -> float:
     """Integral of exp(-t^2) over (0, inf) or (-inf, 0).
 
-    The negative ray is computed through the flipping substitution, so the
-    two sides are the same float, bit for bit.
+    Both sides return sqrt(_gauss_quarter()), the same float bit for bit;
+    by the flipping substitution t -> -t the negative ray has that value.
     """
     if side not in ("pos", "neg"):
         raise ValueError("side must be 'pos' or 'neg'")
@@ -372,7 +372,7 @@ def stirling_via_laplace(n: int, epsilon: float = 0.3) -> AsymptoticRecord:
     The main term is exp(-n) n**(n+1) sqrt(2/n) times the Gaussian
     integral, assembled in log space; the correction and tail pieces the
     decomposition discards are exactly what the predicted bound tracks.
-    The bound constant is calibrated once at n = 100 per epsilon.
+    The bound constant is calibrated once at n = 1 per epsilon.
     """
     if n < 1:
         raise ValueError("n must be positive")

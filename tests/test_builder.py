@@ -7,8 +7,10 @@ from newton_calc.builder import (BuildConfig, OutOfDomain,
                                  RefinementExhausted, build_primitive,
                                  derivative_check, dumps, from_json_dict,
                                  loads, to_json_dict)
-from newton_calc.core import PRECISE_LIMIT_CONFIG, RealFunction
+from newton_calc.core import (PRECISE_LIMIT_CONFIG, EvaluationFailure,
+                              RealFunction)
 from newton_calc.engine import newton_integral, pair_from_primitive
+from newton_calc.fubini import BivariateFunction, iterated_rectangle
 
 from oracles import EXP_NEG_SQUARE_01, exp_neg_square_series_01
 
@@ -112,6 +114,24 @@ def test_refinement_exhausted_on_tiny_budget():
                       min_refinement=1)
     with pytest.raises(RefinementExhausted):
         build_primitive(COS, (0.0, math.pi / 2), cfg)
+
+
+# NaN only at the first midpoint, so the refined levels are checked too
+NAN_AT_HALF = RealFunction(lambda x: math.nan if x == 0.5 else 1.0,
+                           label="nan-at-half")
+NAN_AT_HALF_2D = BivariateFunction(lambda x, y: math.nan if y == 0.5 else 1.0,
+                                   label="nan-at-half-2d")
+
+
+@pytest.mark.parametrize("integrate, label", [
+    (lambda: build_primitive(NAN_AT_HALF, (0.0, 1.0)), "nan-at-half"),
+    (lambda: iterated_rectangle(NAN_AT_HALF_2D, (0.0, 1.0), (0.0, 1.0)),
+     "nan-at-half-2d"),
+], ids=["build_primitive", "iterated_rectangle"])
+def test_non_finite_integrand_raises_evaluation_failure(integrate, label):
+    with pytest.raises(EvaluationFailure, match=label) as info:
+        integrate()
+    assert "0.5" in str(info.value)
 
 
 def test_infinite_interval_rejected():

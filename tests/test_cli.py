@@ -110,6 +110,31 @@ def test_integrate_built_antiderivative_cache(tmp_path):
     assert second == first
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[:len(text) // 2],
+    lambda text: "[]",
+    lambda text: text.replace('"version": 1', '"version": 99'),
+    lambda text: text.replace('"cauchy_delta"', '"other"'),
+    lambda text: text.replace('"k": ', '"k": 1'),
+    lambda text: text.replace('"breakpoints": [0.0, ', '"breakpoints": ['),
+], ids=["truncated", "not-an-object", "wrong-version", "missing-key",
+        "piece-table-mismatch", "breakpoint-count-mismatch"])
+def test_unreadable_cache_blob_is_rebuilt(tmp_path, corrupt):
+    base = ("integrate", "--function-id", "exp-neg-square",
+            "--lo", "0", "--hi", "1")
+    _, uncached = run_cli(*base)
+    run_cli(*base, "--cache-dir", str(tmp_path))
+    [blob] = list(tmp_path.iterdir())
+    text = blob.read_text()
+    assert corrupt(text) != text
+    blob.write_text(corrupt(text))
+    code, rerun = run_cli(*base, "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert rerun == uncached
+    assert [p.name for p in tmp_path.iterdir()] == [blob.name]
+    assert blob.read_text() == text
+
+
 def test_unknown_function_exits_64():
     code, _ = run_cli("integrate", "--function-id", "nope",
                       "--lo", "0", "--hi", "1")

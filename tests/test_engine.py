@@ -102,6 +102,21 @@ def test_hake_reciprocal_square():
     assert rep.residual <= 1e-9
 
 
+def test_hake_point_outside_domain():
+    with pytest.raises(SplitPointOutsideInterval):
+        hake_check(EXP_PAIR, truncation_schedule=[1.0, -1.0, 2.0])
+
+
+def test_hake_schedule_without_stall_reports_its_tail():
+    pair = pair_for("reciprocal-square", 1.0, math.inf)
+    with pytest.raises(NonConvergent, match="within 4 steps") as info:
+        hake_check(pair, truncation_schedule=[2.0, 3.0, 4.0, 5.0])
+    err = info.value
+    assert err.steps_used == 4
+    assert abs(err.last_value - (1.0 - 1.0 / 5.0)) <= 1e-9
+    assert abs(err.last_delta - (1.0 / 4.0 - 1.0 / 5.0)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # linearity and additivity
 # ---------------------------------------------------------------------------

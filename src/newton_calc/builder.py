@@ -168,33 +168,34 @@ def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
 def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
                    a: float, b: float, max_refinement: int, label: str
                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (level, nodes, values) on the dyadic meshes of [a, b], evaluating
-    only the new midpoints; values' last axis runs over the nodes (one row
-    from f.many, or 2-D grid rows).  Non-finite values: EvaluationFailure."""
+    """Yield (level, nodes, new_values) on the dyadic meshes of [a, b].
+
+    nodes is the level's whole mesh; new_values holds the integrand at its
+    new nodes only (both ends at level 0, nodes[1::2] after), the last axis
+    running over them (one row from f.many, or 2-D grid rows).  evaluate
+    runs lazily, when the next level is requested.  Non-finite values raise
+    EvaluationFailure."""
     nodes = np.array([a, b], dtype=float)
-    values = _finite(evaluate(nodes), nodes, label)
-    yield 0, nodes, values
+    yield 0, nodes, _finite(evaluate(nodes), nodes, label)
     for level in range(1, max_refinement + 1):
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        # evaluate before allocating the next level: allocating first
-        # ran slower on the 2-D inner integrals
         mid_values = _finite(evaluate(mids), mids, label)
         new_nodes = np.empty(2 * len(nodes) - 1, dtype=float)
         new_nodes[0::2] = nodes
         new_nodes[1::2] = mids
-        new_values = np.empty(values.shape[:-1] + new_nodes.shape, dtype=float)
-        new_values[..., 0::2] = values
-        new_values[..., 1::2] = mid_values
-        nodes, values = new_nodes, new_values
-        yield level, nodes, values
+        nodes = new_nodes
+        yield level, nodes, mid_values
 
 
-def _stalled(gaps: Sequence[float], target: float, runs: int,
-             min_level: int) -> bool:
-    """Mesh stall: the last `runs` gaps (gaps[k-1] is level k's) are within
-    target, at a level of at least min_level."""
-    return (len(gaps) >= max(runs, min_level)
-            and all(gap <= target for gap in gaps[-runs:]))
+def _stalled(gaps: Sequence[Union[float, np.ndarray]], target: float,
+             runs: int, min_level: int) -> np.ndarray:
+    """Mesh stall, elementwise: gaps[k-1] holds level k's gap (a float, or
+    one gap per row); a row stalls when its last `runs` gaps are within
+    target, at a level of at least min_level.  Returns a bool per row."""
+    gaps = np.asarray(gaps, dtype=float)
+    if len(gaps) < max(runs, min_level):
+        return np.zeros(gaps.shape[1:], dtype=bool)
+    return np.all(gaps[-runs:] <= target, axis=0)
 
 
 def build_primitive(f: Union[RealFunction, Callable[[float], float]],
@@ -217,8 +218,15 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     probe = np.linspace(a, b, cfg.probe_grid)
     history: Tuple[float, ...] = ()
 
-    for level, xs, vals in _dyadic_levels(f.many, a, b, cfg.max_refinement,
-                                          f.label):
+    for level, xs, new in _dyadic_levels(f.many, a, b, cfg.max_refinement,
+                                         f.label):
+        if level == 0:
+            vals = new
+        else:
+            merged = np.empty(len(xs), dtype=float)
+            merged[0::2] = vals
+            merged[1::2] = new
+            vals = merged
         current = _level_from_nodes(xs, vals, level)
         probe_cur = current.many(probe)
         if level > 0:

@@ -112,7 +112,7 @@ def _map_rows(fn: Callable, items: Sequence) -> List:
     threads = _thread_count()
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

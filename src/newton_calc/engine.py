@@ -209,8 +209,9 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
     """Full-interval integral versus the limit of truncated integrals.
 
     The truncation points must increase toward the upper endpoint.  Each
-    truncated integral is F(c) - F(lo+) (F is continuous at interior c); the
-    limit kernel stalls on them and never evaluates points past the stall.
+    truncated integral is F(c) - F(lo+) (F is continuous at interior c, and
+    F(lo+) is the full integral's lower limit); the limit kernel stalls on
+    them and never evaluates points past the stall.
     """
     full = newton_integral(pair, cfg)
     if truncation_schedule is None:
@@ -221,13 +222,12 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
         else:
             truncation_schedule = [max(pair.domain.a + 1.0, 0.0) + 2.0 ** k
                                    for k in range(cfg.max_steps)]
-    lower = _endpoint_limit(pair.primitive, pair.domain.a, "lower", cfg)
 
     def truncated(c: float) -> float:
         if not pair.domain.contains(c):
             raise SplitPointOutsideInterval(
                 f"truncation point {c!r} not interior to the domain")
-        return pair.primitive(c) - lower.value
+        return pair.primitive(c) - full.lower_limit.value
 
     rhs = _stalled_limit([float(c) for c in truncation_schedule],
                          RealFunction(truncated), cfg,

@@ -7,11 +7,12 @@ a decay-bounded infinite theorem (|f| <= c * max(x, y)**-3 outside the unit
 box), and an explicit family witnessing that the two orders need not both
 exist over infinite rectangles.
 
-Inner integrals are evaluated on a mesh shared across all outer nodes and
-refined by the builder's kernel until the values stall (``_dyadic_levels``,
-``_stalled``); the value of the patched piecewise-quadratic antiderivative
-at the right endpoint is exactly the composite trapezoid sum of the
-interpolant, which is what the shared-mesh evaluator computes.
+Inner integrals are Newton integrals too: each is the right-endpoint value
+of the C^1 piecewise-cubic antiderivative of the piecewise-quadratic
+interpolant of the section on a dyadic mesh (the composite Simpson sum),
+refined by the builder's kernel (``_dyadic_levels``) until that value
+stalls under the builder's stall rule (``_stalled``).  Every outer node
+stalls on its own, so an inner value depends on its node alone.
 """
 
 from __future__ import annotations
@@ -136,50 +137,69 @@ class IteratedIntegralReport:
 
 
 # ---------------------------------------------------------------------------
-# shared-mesh inner integrals and the rectangle theorem
+# inner integrals and the rectangle theorem
 # ---------------------------------------------------------------------------
 
+# rows per batch; a memory bound only, since every row stalls on its own
 _INNER_CHUNK = 1024
 
 
 def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
                   cfg: BuildConfig) -> np.ndarray:
-    """Inner integrals over y for every outer node in xs, on a shared mesh.
+    """Inner integrals over y for every outer node in xs.
 
-    Trapezoid sums of the piecewise-linear interpolant, refined dyadically
-    until every value in the chunk stalls below the builder tolerance.
+    Each value is that of the C^1 piecewise-cubic antiderivative of the
+    piecewise-quadratic interpolant at the right endpoint, which is
+    (4 T_k - T_{k-1}) / 3 for the trapezoid sums T_k on the dyadic meshes;
+    T_k comes from one running sum of node values per row, so no mesh of
+    values is kept.  Every row stalls on its own gaps below the builder
+    tolerance and drops out of the evaluation, so a value depends on its
+    outer node alone, never on which nodes share its batch.
     """
     c, d = y_iv.a, y_iv.b
     length = d - c
     target = cfg.target_uniform_gap * length
-    # inner values must be both accurate and mesh-stable across chunks,
-    # or outer refinement sees a noise floor; hence the deeper minimum
-    # level and the three-gap stall (narrow features hide from coarse
-    # dyadic meshes longer than wide ones)
+    # inner values must be accurate, or outer refinement sees a noise
+    # floor; hence the deeper minimum level and the three-gap stall
+    # (narrow features hide from coarse dyadic meshes longer than wide ones)
     min_level = max(cfg.min_refinement, 8)
     out = np.empty(len(xs), dtype=float)
 
     for start in range(0, len(xs), _INNER_CHUNK):
-        chunk = xs[start:start + _INNER_CHUNK]
-        gaps: List[float] = []
-        levels = _dyadic_levels(lambda ys: f.grid(chunk, ys), c, d,
+        index = np.arange(start, min(start + _INNER_CHUNK, len(xs)))
+        # the kernel evaluates lazily, so it sees the active rows of the
+        # level it is asked for
+        rows = xs[index]
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
                                 cfg.max_refinement, f.label)
-        for level, _ys, vals in levels:
+        gaps: List[np.ndarray] = []
+        for level, _ys, new in levels:
             h = math.ldexp(length, -level)
-            ends = vals[:, 0] + vals[:, -1]
             if level == 0:
-                current = 0.5 * h * ends
+                ends = new[:, 0] + new[:, -1]
+                sums = ends.copy()
+                # two nodes carry no quadratic: level 0's value is T_0
+                trapezoid = value = 0.5 * h * ends
                 continue
-            refined = h * (vals.sum(axis=1) - 0.5 * ends)
-            gaps.append(float(np.max(np.abs(refined - current))))
-            current = refined
-            if _stalled(gaps, target, 3, min_level):
-                break
+            sums += new.sum(axis=1)
+            refined = h * (sums - 0.5 * ends)
+            simpson = (4.0 * refined - trapezoid) / 3.0
+            gaps.append(np.abs(simpson - value))
+            trapezoid, value = refined, simpson
+            done = _stalled(gaps, target, 3, min_level)
+            if done.any():
+                out[index[done]] = value[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                index, rows, ends, sums, trapezoid, value = (
+                    v[keep] for v in (index, rows, ends, sums, trapezoid,
+                                      value))
+                gaps = [g[keep] for g in gaps]
         else:
             raise RefinementExhausted(
                 f"inner integrals did not stall within "
                 f"{cfg.max_refinement} refinements")
-        out[start:start + _INNER_CHUNK] = current
     return out
 
 

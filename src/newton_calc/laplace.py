@@ -24,8 +24,7 @@ import numpy as np
 from .builder import BuildConfig, build_primitive
 from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig,
                    NewtonCalcError, PRECISE_LIMIT_CONFIG, RealFunction)
-from .engine import (IdentityReport, PrimitivePair, newton_integral,
-                     pair_from_primitive)
+from .engine import IdentityReport, PrimitivePair, newton_integral
 from .functions import factorial_product, gamma_pair
 from .fubini import pair_from_inner_closed_form, special_infinite_fubini
 from .sums import AsymptoticRecord, log_factorial

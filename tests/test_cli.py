@@ -182,6 +182,31 @@ def test_determinism_across_thread_counts(monkeypatch):
     assert a == b
 
 
+def test_thread_pool_is_capped_at_the_row_count(monkeypatch):
+    from newton_calc import cli
+
+    sizes = []
+
+    class RecordingPool:
+        # runs the rows serially; only the requested pool size is recorded
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("NEWTON_CALC_THREADS", "100000")
+    assert cli._map_rows(lambda n: n * n, [1, 2, 3]) == [1, 4, 9]
+    assert sizes == [3]
+
+
 def test_module_entry_point_subprocess():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

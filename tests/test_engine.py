@@ -102,6 +102,24 @@ def test_hake_reciprocal_square():
     assert rep.residual <= 1e-9
 
 
+def test_hake_takes_the_lower_limit_from_the_full_integral():
+    points = []
+
+    def primitive(x):
+        points.append(x)
+        return EXP_PAIR.primitive(x)
+
+    pair = PrimitivePair(EXP_PAIR.integrand, RealFunction(primitive),
+                         EXP_PAIR.domain)
+    full = newton_integral(EXP_PAIR)
+    rep = hake_check(pair)
+    assert rep.holds and rep.lhs == full.value
+    # the lower schedule approaches 0 from 0.1; the upper and truncation
+    # schedules start at 1, so each point below 1/2 is a lower-limit step
+    lower_steps = [x for x in points if x < 0.5]
+    assert len(lower_steps) == full.lower_limit.steps_used == 19
+
+
 def test_hake_point_outside_domain():
     with pytest.raises(SplitPointOutsideInterval):
         hake_check(EXP_PAIR, truncation_schedule=[1.0, -1.0, 2.0])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from newton_calc.builder import BuildConfig
-from newton_calc.core import DecayViolation
-from newton_calc.fubini import (BivariateFunction, asymmetry_counterexample,
+from newton_calc.core import DecayViolation, Interval
+from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
+                                BivariateFunction, _inner_values,
+                                asymmetry_counterexample,
                                 bound_A_at, bound_B_at,
                                 counterexample_family,
                                 counterexample_section_integral,
@@ -76,6 +78,57 @@ def test_inner_values_match_direct_sections():
     for x in (0.1, 0.7, 1.3):
         # closed form: cos(x) * (1 - cos 2)
         assert abs(inner(x) - math.cos(x) * (1.0 - math.cos(2.0))) <= 1e-7
+
+
+def counting(f: BivariateFunction):
+    """f with a vector twin that counts its evaluations in calls[0]."""
+    calls = [0]
+
+    def vector(xs, ys):
+        out = f.vector_fn(xs, ys)
+        calls[0] += out.size
+        return out
+
+    return BivariateFunction(f.fn, f.label, vector), calls
+
+
+def test_inner_value_depends_on_its_node_alone():
+    # sin(x y) needs deeper meshes as x grows, so rows stall at different
+    # levels; the batch crosses a chunk boundary
+    f = registry_bivariate("sin-product")
+    y_iv = Interval(0.0, 2.0)
+    xs = np.linspace(0.0, 12.0, 1500)
+    assert len(xs) > _INNER_CHUNK
+    batch = _inner_values(f, xs, y_iv, RECT_CFG)
+    reversed_ = _inner_values(f, xs[::-1], y_iv, RECT_CFG)[::-1]
+    assert batch.tobytes() == reversed_.tobytes()
+    for i in (0, 1, 700, _INNER_CHUNK - 1, _INNER_CHUNK, 1499):
+        alone = _inner_values(f, xs[i:i + 1], y_iv, RECT_CFG)
+        assert alone[0].hex() == batch[i].hex(), i
+    # (1 - cos 2x) / x = 2 sin(x)^2 / x, written to hold at x = 0
+    exact = 2.0 * xs * np.sinc(xs / np.pi) ** 2
+    assert np.max(np.abs(batch - exact)) <= 1e-7
+
+
+def test_inner_value_of_a_cubic_is_exact_at_the_minimum_level():
+    # the piecewise-quadratic interpolant's cubic antiderivative integrates
+    # cubics exactly, so every gap past level 1 is rounding and each row
+    # stops at the minimum level 8: 2**8 + 1 evaluations per row
+    f, calls = counting(BivariateFunction(
+        lambda x, y: x * y ** 3 - 2.0 * y * y + y + 1.0, "cubic in y",
+        lambda xs, ys: xs * ys ** 3 - 2.0 * ys * ys + ys + 1.0))
+    xs = np.array([-1.5, 0.0, 0.25, 3.0])
+    got = _inner_values(f, xs, Interval(0.0, 2.0), RECT_CFG)
+    exact = 4.0 * xs - 16.0 / 3.0 + 2.0 + 2.0
+    assert np.max(np.abs(got - exact)) <= 1e-14
+    assert calls[0] == len(xs) * (2 ** 8 + 1)
+
+
+def test_decay_rectangle_evaluation_count():
+    f, calls = counting(registry_bivariate("product-exp"))
+    value = iterated_rectangle(f, (0.0, 20.0), (0.0, 20.0), "xy", _DECAY_CFG)
+    assert abs(value - (1.0 - math.exp(-20.0)) ** 2) <= 5e-7
+    assert calls[0] <= 1.9e7
 
 
 # ---------------------------------------------------------------------------

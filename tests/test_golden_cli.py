@@ -3,6 +3,11 @@
 The files under tests/golden/ hold the stdout of each command as printed
 before the builder and fubini refinement loops were merged into one
 kernel; any refactor of the numerics must leave these bytes unchanged.
+Two files were regenerated on purpose since: fubini_decay.txt and
+fubini_special.txt moved when the inner integrals went from trapezoid
+sums stalling per 1024-node chunk to Simpson values (the cubic
+antiderivative of the piecewise-quadratic interpolant) stalling per node.
+Every moved value lies closer to an independent high-precision reference.
 Commands run in-process through ``cli.main``.
 """
 

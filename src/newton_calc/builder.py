@@ -1,13 +1,18 @@
 """Constructive antiderivatives for continuous functions on compact intervals.
 
 The construction mirrors the classical limit argument: interpolate the
-integrand piecewise-linearly on a uniform mesh, integrate each linear piece
-``u*x + v`` to the quadratic ``(u/2)*x**2 + v*x + w``, and choose the shifts
-``w`` left to right so that values patch continuously (matching one-sided
-derivatives then give a two-sided derivative at each breakpoint).  The mesh
-is refined dyadically and refinement stops once two consecutive levels agree
-on a probe grid, a practical stand-in for the uniform Cauchy bound
-``|F_m(x) - F_n(x)| <= (x - a) * sup|f_m - f_n|``.
+integrand continuously on a uniform mesh, integrate the interpolant piece by
+piece, and choose the integration constants left to right so that values
+patch continuously (matching one-sided derivatives then give a two-sided
+derivative at each breakpoint).  Each piece spans two mesh intervals, and
+its interpolant is the quadratic ``c*t**2 + u*t + v`` through the piece's
+three nodes, with ``t = x - a``; its antiderivative is the cubic
+``(c/3)*t**3 + (u/2)*t**2 + v*t + w``.  The interpolant is continuous, so
+the primitive is C^1.  The mesh is refined dyadically and refinement stops
+once two consecutive levels agree on a probe grid, a practical stand-in for
+the uniform Cauchy bound ``|F_m(x) - F_n(x)| <= (x - a) * sup|f_m - f_n|``.
+With quadratic pieces that gap shrinks about 16x per level on smooth
+integrands (4x with linear pieces).
 
 The refinement kernel (``_dyadic_levels``) and the mesh stall rule
 (``_stalled``) are shared with ``fubini``'s inner integrals.
@@ -40,7 +45,7 @@ __all__ = [
     "loads",
 ]
 
-SERIALIZATION_VERSION = 1
+SERIALIZATION_VERSION = 2
 
 
 class RefinementExhausted(NewtonCalcError):
@@ -88,14 +93,19 @@ DEFAULT_BUILD_CONFIG = BuildConfig()
 
 @dataclass(frozen=True, eq=False)
 class PiecewisePrimitive:
-    """A C^1 piecewise-quadratic antiderivative on [a, b], zero at a.
+    """A C^1 piecewise-cubic antiderivative on [a, b], zero at a.
 
-    Piece i covers [breakpoints[i], breakpoints[i+1]] and evaluates to
-    ``half_u[i]*x*x + v[i]*x + w[i]``.  Its derivative is the piecewise
-    linear interpolant of the integrand on the final mesh.
+    Piece i covers [breakpoints[i], breakpoints[i+1]] and, with
+    ``t = x - base_point``, evaluates to
+    ``((third_c[i]*t + half_u[i])*t + v[i])*t + w[i]``.  Its derivative is
+    the piecewise-quadratic interpolant of the integrand on the final mesh:
+    on each piece, the quadratic through its two ends and its midpoint (at
+    level 0, the chord).  Coefficients in ``t`` rather than ``x`` keep the
+    cubic well conditioned on intervals far from the origin.
     """
 
     breakpoints: np.ndarray
+    third_c: np.ndarray
     half_u: np.ndarray
     v: np.ndarray
     w: np.ndarray
@@ -121,8 +131,10 @@ class PiecewisePrimitive:
         if not (a <= x <= b):
             raise OutOfDomain(f"{x!r} outside [{a!r}, {b!r}]")
         i = self._piece_index(x)
+        t = x - self.base_point
         # same association order as the vector path and the construction
-        return (self.half_u[i] * x * x + self.v[i] * x) + self.w[i]
+        return ((self.third_c[i] * t + self.half_u[i]) * t + self.v[i]) * t \
+            + self.w[i]
 
     __call__ = evaluate
 
@@ -130,30 +142,48 @@ class PiecewisePrimitive:
         xs = np.asarray(xs, dtype=float)
         idx = np.clip(np.searchsorted(self.breakpoints, xs, side="right") - 1,
                       0, self.piece_count - 1)
-        return (self.half_u[idx] * xs * xs + self.v[idx] * xs) + self.w[idx]
+        t = xs - self.base_point
+        return ((self.third_c[idx] * t + self.half_u[idx]) * t
+                + self.v[idx]) * t + self.w[idx]
 
     def derivative_at(self, x: float) -> float:
         i = self._piece_index(x)
-        return 2.0 * self.half_u[i] * x + self.v[i]
+        t = x - self.base_point
+        return (3.0 * self.third_c[i] * t + 2.0 * self.half_u[i]) * t \
+            + self.v[i]
 
 
 def _level_from_nodes(xs: np.ndarray, vals: np.ndarray,
                       level: int) -> PiecewisePrimitive:
-    dx = np.diff(xs)
-    u = np.diff(vals) / dx
+    """The level's primitive from the mesh nodes and the integrand there.
+
+    At level 0 the mesh is [a, b] and the interpolant is the chord; after
+    that the mesh has an even number of intervals and each piece spans two.
+    """
+    if level == 0:
+        xs = np.array([xs[0], 0.5 * (xs[0] + xs[1]), xs[1]])
+        vals = np.array([vals[0], 0.5 * (vals[0] + vals[1]), vals[1]])
+    base = float(xs[0])
+    t = xs - base
+    t0, tm, t2 = t[:-2:2], t[1::2], t[2::2]
+    f0, fm, f2 = vals[:-2:2], vals[1::2], vals[2::2]
+    # Newton form f0 + d1*(t - t0) + c*(t - t0)*(t - tm), expanded in t
+    d1 = (fm - f0) / (tm - t0)
+    c = ((f2 - fm) / (t2 - tm) - d1) / (t2 - t0)
+    u = d1 - c * (t0 + tm)
+    v = (f0 - d1 * t0) + c * (t0 * tm)
+    third_c = c / 3.0
     half_u = 0.5 * u
-    v = vals[:-1] - u * xs[:-1]
-    left_raw = half_u * xs[:-1] * xs[:-1] + v * xs[:-1]
-    right_raw = half_u * xs[1:] * xs[1:] + v * xs[1:]
+    left_raw = ((third_c * t0 + half_u) * t0 + v) * t0
+    right_raw = ((third_c * t2 + half_u) * t2 + v) * t2
     w = np.empty_like(left_raw)
     w[0] = -left_raw[0]
     if len(w) > 1:
         # value continuity: w[i+1] = w[i] + (right_raw[i] - left_raw[i+1])
         w[1:] = w[0] + np.cumsum(right_raw[:-1] - left_raw[1:])
     return PiecewisePrimitive(
-        breakpoints=xs, half_u=half_u, v=v, w=w,
-        base_point=float(xs[0]), refinement_level=level,
-        cauchy_delta=math.inf)
+        breakpoints=xs[::2].copy(), third_c=third_c, half_u=half_u, v=v, w=w,
+        base_point=base, refinement_level=level, cauchy_delta=math.inf)
 
 
 def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
@@ -266,8 +296,8 @@ def to_json_dict(P: PiecewisePrimitive) -> dict:
         "k": P.piece_count,
         "base_point": P.base_point,
         "breakpoints": [float(x) for x in P.breakpoints],
-        "pieces": [[float(hu), float(vv), float(ww)]
-                   for hu, vv, ww in zip(P.half_u, P.v, P.w)],
+        "pieces": [[float(tc), float(hu), float(vv), float(ww)]
+                   for tc, hu, vv, ww in zip(P.third_c, P.half_u, P.v, P.w)],
         "refinement_level": P.refinement_level,
         "cauchy_delta": P.cauchy_delta,
     }
@@ -279,11 +309,12 @@ def from_json_dict(blob: dict) -> PiecewisePrimitive:
                          f"{blob.get('version')!r}")
     pieces = np.asarray(blob["pieces"], dtype=float)
     breakpoints = np.asarray(blob["breakpoints"], dtype=float)
-    if (pieces.shape, breakpoints.shape) != ((blob["k"], 3), (blob["k"] + 1,)):
+    if (pieces.shape, breakpoints.shape) != ((blob["k"], 4), (blob["k"] + 1,)):
         raise ValueError("piece table shape does not match header")
     return PiecewisePrimitive(
         breakpoints=breakpoints,
-        half_u=pieces[:, 0].copy(), v=pieces[:, 1].copy(), w=pieces[:, 2].copy(),
+        third_c=pieces[:, 0].copy(), half_u=pieces[:, 1].copy(),
+        v=pieces[:, 2].copy(), w=pieces[:, 3].copy(),
         base_point=float(blob["base_point"]),
         refinement_level=int(blob["refinement_level"]),
         cauchy_delta=float(blob["cauchy_delta"]))

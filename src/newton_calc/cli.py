@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -322,6 +323,8 @@ def _cmd_fubini(args, out) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+# built once per process: its defaults are immutable, so reuse is safe
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="newton-calc",
                      description="Antiderivative-based integral calculus: "

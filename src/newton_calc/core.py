@@ -270,7 +270,11 @@ def _stalled_limit(points: Sequence[float], F: RealFunction,
     last_delta = math.inf
     streak = 0
     for k, x in enumerate(points):
-        val = F(x)
+        try:
+            val = F(x)
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationFailure(
+                f"{what}: function raised {exc!r} at x={x!r}") from exc
         if math.isnan(val) or math.isinf(val):
             raise EvaluationFailure(
                 f"{what}: function returned {val!r} at x={x!r}")
@@ -297,8 +301,9 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
 
     Evaluates F at endpoint -/+ start_offset / approach_factor**k and
     reports the stabilized value.  Raises NonConvergent when the deltas
-    never stall and EvaluationFailure on NaN or overflow anywhere in the
-    schedule (such points are never silently skipped).
+    never stall and EvaluationFailure on NaN, overflow or an
+    ArithmeticError/ValueError from F anywhere in the schedule (such points
+    are never silently skipped).
     """
     F = real_function(F)
     if side not in ("left", "right"):

@@ -48,21 +48,52 @@ def test_base_point_value_is_exactly_zero():
         assert P.evaluate(P.base_point) == 0.0
 
 
+def _piece_values(P, idx, x):
+    t = x - P.base_point
+    return ((P.third_c[idx] * t + P.half_u[idx]) * t + P.v[idx]) * t + P.w[idx]
+
+
+def _piece_derivatives(P, idx, x):
+    t = x - P.base_point
+    return (3.0 * P.third_c[idx] * t + 2.0 * P.half_u[idx]) * t + P.v[idx]
+
+
 def test_breakpoint_continuity_within_ulp_scale():
     P = build_primitive(COS, (0.0, math.pi / 2))
     idx = np.arange(1, P.piece_count)
     x = P.breakpoints[idx]
-    left = (P.half_u[idx - 1] * x * x + P.v[idx - 1] * x) + P.w[idx - 1]
-    right = (P.half_u[idx] * x * x + P.v[idx] * x) + P.w[idx]
+    left = _piece_values(P, idx - 1, x)
+    right = _piece_values(P, idx, x)
     assert np.max(np.abs(left - right)) <= 64 * np.finfo(float).eps
 
 
 def test_breakpoint_derivative_matches_node_values():
     P = build_primitive(EXP_NEG_SQ, (0.0, 1.0))
     idx = np.arange(P.piece_count)
-    x = P.breakpoints[idx]
-    deriv = 2.0 * P.half_u[idx] * x + P.v[idx]
-    assert np.max(np.abs(deriv - EXP_NEG_SQ.many(x))) <= 1e-12
+    lo, hi = P.breakpoints[:-1], P.breakpoints[1:]
+    for x in (lo, 0.5 * (lo + hi), hi):
+        deriv = _piece_derivatives(P, idx, x)
+        assert np.max(np.abs(deriv - EXP_NEG_SQ.many(x))) <= 1e-12
+
+
+def test_cos_far_from_origin_builds():
+    a = 1e4
+    P = build_primitive(COS, (a, a + 1.0))
+    xs = np.linspace(a, a + 1.0, 101)
+    assert np.max(np.abs(P.many(xs) - (np.sin(xs) - math.sin(a)))) <= 1e-10
+
+
+def test_quadratic_is_exact_from_the_first_split():
+    P = build_primitive(lambda x: x * x, (0.0, 1.0))
+    assert P.refinement_level == BuildConfig().min_refinement
+    assert P.cauchy_delta == 0.0
+
+
+def test_exp_neg_square_stall_level():
+    # quadratic pieces: the probe gap shrinks about 16x per level, so the
+    # default target is met at level 8
+    P = build_primitive(EXP_NEG_SQ, (0.0, 1.0))
+    assert P.refinement_level <= 9
 
 
 def test_out_of_domain():

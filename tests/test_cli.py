@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from newton_calc import builder
 from newton_calc.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -113,7 +114,8 @@ def test_integrate_built_antiderivative_cache(tmp_path):
 @pytest.mark.parametrize("corrupt", [
     lambda text: text[:len(text) // 2],
     lambda text: "[]",
-    lambda text: text.replace('"version": 1', '"version": 99'),
+    lambda text: text.replace(f'"version": {builder.SERIALIZATION_VERSION}',
+                              '"version": 99'),
     lambda text: text.replace('"cauchy_delta"', '"other"'),
     lambda text: text.replace('"k": ', '"k": 1'),
     lambda text: text.replace('"breakpoints": [0.0, ', '"breakpoints": ['),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_calc.builder import build_primitive
-from newton_calc.core import (Interval, NonConvergent,
+from newton_calc.core import (EvaluationFailure, Interval, NonConvergent,
                               PRECISE_LIMIT_CONFIG, RealFunction)
 from newton_calc.engine import (DomainMismatch, InfiniteInterval,
                                 PointwiseOrderViolated, PrimitivePair,
@@ -447,3 +447,13 @@ def test_reversal_property(a, b):
     pair = pair_for("cos", lo, hi)
     assert newton_integral(pair, reverse=True).value \
         == -newton_integral(pair).value
+
+
+def test_domain_error_in_a_primitive_raises_evaluation_failure():
+    # the left schedule toward 1 reaches x == 1.0, where log raises
+    pair = PrimitivePair(RealFunction(lambda x: 1.0 / (1.0 - x)),
+                         RealFunction(lambda x: -math.log(1.0 - x)),
+                         Interval(0.0, 1.0))
+    with pytest.raises(EvaluationFailure, match="x=1.0") as info:
+        newton_integral(pair)
+    assert isinstance(info.value.__cause__, ValueError)

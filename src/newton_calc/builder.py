@@ -146,12 +146,6 @@ class PiecewisePrimitive:
         return ((self.third_c[idx] * t + self.half_u[idx]) * t
                 + self.v[idx]) * t + self.w[idx]
 
-    def derivative_at(self, x: float) -> float:
-        i = self._piece_index(x)
-        t = x - self.base_point
-        return (3.0 * self.third_c[i] * t + 2.0 * self.half_u[i]) * t \
-            + self.v[i]
-
 
 def _level_from_nodes(xs: np.ndarray, vals: np.ndarray,
                       level: int) -> PiecewisePrimitive:

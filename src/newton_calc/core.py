@@ -6,7 +6,14 @@ This module supplies those limits.  Finite endpoints are approached along
 a geometric offset schedule, infinite ones along a doubling schedule, and
 a limit counts as found only after three consecutive steps move the value
 by no more than the stall tolerance (a single small delta is too easy to
-hit by accident on an oscillating function).
+hit by accident on an oscillating function).  At a finite endpoint the
+stall is on two Richardson columns of the values, along a ray on the raw
+values.  The columns assume the offsets shrink by the schedule's ratio;
+near an endpoint of large magnitude, where the points are rounded to a
+coarse grid, they use the actual offsets instead, so smooth limits are
+found up to |endpoint| of about 1e10.  Schedules are drawn one point at
+a time; a finite endpoint's schedule ends, without a limit, where its
+points stop moving, so F is never evaluated at the endpoint itself.
 
 All arithmetic is binary64.  Every operation here is pure given pure
 inputs, so concurrent use needs no locking.
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -263,13 +270,48 @@ class LimitResult:
 
 _STALL_RUNS = 3  # consecutive small deltas required before convergence
 
+# Relative slack within which the ratio of two offsets counts as ``ratio``.
+# Within it the Richardson columns divide by exactly ratio - 1 and
+# ratio**2 - 1, so the extrapolate does not depend on the rounding of the
+# points; beyond it (near an endpoint of large magnitude, whose nearby
+# points lie on a coarse grid) they divide by the actual offset ratios.
+_RATIO_SLACK = 2.0 ** -26
 
-def _stalled_limit(points: Sequence[float], F: RealFunction,
-                   cfg: LimitConfig, what: str) -> LimitResult:
+
+def _stalled_limit(points: Iterable[float], F: RealFunction,
+                   cfg: LimitConfig, what: str,
+                   endpoint: Optional[float] = None,
+                   ratio: float = 0.0) -> LimitResult:
+    """Evaluate F along ``points`` until the stall rule holds.
+
+    Points are drawn one at a time, so a schedule is never computed past
+    the stall.  Without ``endpoint`` the stall is on the raw values.  With
+    it (the points approach that finite endpoint at offsets shrinking by
+    ``ratio``) the stall is on two Richardson columns, the values at
+    offset 0 of the lines and the quadratic through the last two and
+    three points (Neville's scheme): with q the ratio of two offsets,
+    R1_k = F_k + (F_k - F_(k-1)) / (q - 1) and
+    R2_k = R1_k + (R1_k - R1_(k-1)) / (q - 1) with q = h_(k-2) / h_k.  They
+    cancel the terms of order h and h^2 of a primitive smooth at the
+    endpoint.  R2_k is a combination of three raw values with weights
+    summing to 1, so it converges wherever they do.  Such a schedule
+    ends, without a limit, at the first point equal to the endpoint or to
+    the previous point: F is never evaluated at the endpoint, and a
+    schedule that stopped moving cannot fake a stall.
+    """
     prev: Optional[float] = None
     last_delta = math.inf
     streak = 0
-    for k, x in enumerate(points):
+    steps = 0
+    h1 = v1 = r1_prev = None  # previous offset, raw value and R1
+    q_prev = ratio
+    slack = _RATIO_SLACK * ratio
+    for x in points:
+        if endpoint is not None:
+            h = x - endpoint
+            if h == 0.0 or h == h1:
+                break
+        steps += 1
         try:
             val = F(x)
         except (ArithmeticError, ValueError) as exc:
@@ -278,20 +320,34 @@ def _stalled_limit(points: Sequence[float], F: RealFunction,
         if math.isnan(val) or math.isinf(val):
             raise EvaluationFailure(
                 f"{what}: function returned {val!r} at x={x!r}")
+        if endpoint is not None:
+            if h1 is None:
+                h1, v1 = h, val
+                continue
+            q = h1 / h
+            if abs(q - ratio) <= slack:
+                q = ratio
+            r1 = val + (val - v1) / (q - 1.0)
+            r2 = None if r1_prev is None else \
+                r1 + (r1 - r1_prev) / (q * q_prev - 1.0)
+            h1, v1, r1_prev, q_prev = h, val, r1, q
+            if r2 is None:
+                continue
+            val = r2
         if prev is not None:
             last_delta = abs(val - prev)
             if last_delta <= cfg.stall_tolerance:
                 streak += 1
                 if streak >= _STALL_RUNS:
                     return LimitResult(value=val, converged=True,
-                                       steps_used=k + 1, last_delta=last_delta)
+                                       steps_used=steps, last_delta=last_delta)
             else:
                 streak = 0
         prev = val
     raise NonConvergent(
-        f"{what}: no stall within {len(points)} steps "
+        f"{what}: no stall within {steps} steps "
         f"(last delta {last_delta:.3e})",
-        last_value=prev, last_delta=last_delta, steps_used=len(points))
+        last_value=prev, last_delta=last_delta, steps_used=steps)
 
 
 def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
@@ -300,8 +356,9 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
     """Limit of F at a finite endpoint from the given side ("left"/"right").
 
     Evaluates F at endpoint -/+ start_offset / approach_factor**k and
-    reports the stabilized value.  Raises NonConvergent when the deltas
-    never stall and EvaluationFailure on NaN, overflow or an
+    reports the stabilized Richardson extrapolate of those values.  Raises
+    NonConvergent when the deltas never stall or the schedule reaches the
+    endpoint first, and EvaluationFailure on NaN, overflow or an
     ArithmeticError/ValueError from F anywhere in the schedule (such points
     are never silently skipped).
     """
@@ -309,29 +366,39 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sign = -1.0 if side == "left" else 1.0
-    points = [endpoint + sign * cfg.start_offset / cfg.approach_factor ** k
-              for k in range(cfg.max_steps)]
+    points = (endpoint + sign * (cfg.start_offset / cfg.approach_factor ** k)
+              for k in range(cfg.max_steps))
     return _stalled_limit(points, F, cfg,
-                          f"one_sided_limit at {endpoint!r} ({side})")
+                          f"one_sided_limit at {endpoint!r} ({side})",
+                          endpoint, cfg.approach_factor)
 
 
-def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
-                      sign: str,
-                      cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
-    """Limit of F along the ray toward +inf ("pos") or -inf ("neg")."""
-    F = real_function(F)
-    if sign not in ("pos", "neg"):
-        raise ValueError("sign must be 'pos' or 'neg'")
-    mult = 1.0 if sign == "pos" else -1.0
-    points = []
+def _ray(mult: float, cfg: LimitConfig) -> Iterator[float]:
+    """mult * infinity_schedule(k), lazily, checking that it increases."""
     prev = -math.inf
     for k in range(cfg.max_steps):
         x = float(cfg.infinity_schedule(k))
         if not x > prev:
             raise ValueError("infinity_schedule must be strictly increasing")
         prev = x
-        points.append(mult * x)
-    return _stalled_limit(points, F, cfg, f"limit_at_infinity ({sign})")
+        yield mult * x
+
+
+def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
+                      sign: str,
+                      cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
+    """Limit of F along the ray toward +inf ("pos") or -inf ("neg").
+
+    The stall is on the raw values.  The schedule is caller-supplied, and
+    on the default doubling one ratio-2 extrapolation in 1/x would take
+    exponential tails such as -exp(-x) from 9 to 11 steps (algebraic ones
+    such as arctan from 37 to 16).
+    """
+    F = real_function(F)
+    if sign not in ("pos", "neg"):
+        raise ValueError("sign must be 'pos' or 'neg'")
+    return _stalled_limit(_ray(1.0 if sign == "pos" else -1.0, cfg), F, cfg,
+                          f"limit_at_infinity ({sign})")
 
 
 # ---------------------------------------------------------------------------

@@ -211,17 +211,23 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
     The truncation points must increase toward the upper endpoint.  Each
     truncated integral is F(c) - F(lo+) (F is continuous at interior c, and
     F(lo+) is the full integral's lower limit); the limit kernel stalls on
-    them and never evaluates points past the stall.
+    them and never evaluates points past the stall.  On the default
+    schedule toward a finite upper endpoint b, b - (b - a) / 2**k, the
+    stall is on the ratio-2 extrapolates to b, as at any finite endpoint
+    (about 15 steps where the raw values take about 36); a caller-supplied
+    schedule and the default ray schedule stay on the raw values.
     """
     full = newton_integral(pair, cfg)
+    endpoint: Optional[float] = None
     if truncation_schedule is None:
         if pair.domain.hi.is_finite:
             b, a = pair.domain.b, pair.domain.a
-            truncation_schedule = [b - (b - a) / 2.0 ** k
-                                   for k in range(1, cfg.max_steps)]
+            truncation_schedule = (b - (b - a) / 2.0 ** k
+                                   for k in range(1, cfg.max_steps))
+            endpoint = b
         else:
-            truncation_schedule = [max(pair.domain.a + 1.0, 0.0) + 2.0 ** k
-                                   for k in range(cfg.max_steps)]
+            truncation_schedule = (max(pair.domain.a + 1.0, 0.0) + 2.0 ** k
+                                   for k in range(cfg.max_steps))
 
     def truncated(c: float) -> float:
         if not pair.domain.contains(c):
@@ -229,9 +235,10 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
                 f"truncation point {c!r} not interior to the domain")
         return pair.primitive(c) - full.lower_limit.value
 
-    rhs = _stalled_limit([float(c) for c in truncation_schedule],
+    rhs = _stalled_limit(map(float, truncation_schedule),
                          RealFunction(truncated), cfg,
-                         "hake_check: truncated integrals").value
+                         "hake_check: truncated integrals",
+                         endpoint, 2.0).value
     tol = default_identity_tolerance(pair.domain)
     return IdentityReport.equality(full.value, rhs, tol)
 

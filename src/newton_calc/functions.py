@@ -45,7 +45,7 @@ def _rf(fn, vec, label):
     return RealFunction(fn, label=label, vector_fn=vec)
 
 
-def _xlogx(x: float) -> float:
+def _xlogx_minus_x(x: float) -> float:
     return x * math.log(x) - x
 
 
@@ -67,7 +67,7 @@ def _register(id_: str, fn, vec, primitive, pvec, description: str) -> None:
 _register("cos", math.cos, np.cos, math.sin, np.sin, "cos x")
 _register("sin", math.sin, np.sin,
           lambda x: -math.cos(x), lambda xs: -np.cos(xs), "sin x")
-_register("log", math.log, np.log, _xlogx,
+_register("log", math.log, np.log, _xlogx_minus_x,
           lambda xs: xs * np.log(xs) - xs, "log x (x > 0)")
 _register("log1p", math.log1p, np.log1p, _log1p_primitive,
           lambda xs: (1.0 + xs) * np.log1p(xs) - xs, "log(1 + x) (x > -1)")

@@ -27,6 +27,56 @@ def test_x_log_x_limit_at_zero():
     assert abs(res.value) <= 1e-9
 
 
+def test_sin_from_the_left_needs_few_steps():
+    # two Richardson columns cancel the O(h) and O(h^2) terms of the offset
+    # schedule, so the stall comes early and lands on the true value
+    res = one_sided_limit(math.sin, 2.7, "left")
+    assert res.converged and res.steps_used <= 10
+    assert abs(res.value - math.sin(2.7)) <= 4e-16
+
+
+@given(st.integers(-300, 300), st.sampled_from([1.0, -1.0]),
+       st.sampled_from(["left", "right"]))
+@settings(max_examples=60, deadline=None)
+def test_endpoint_is_never_evaluated(e, sign, side):
+    # up to |c| = 1e10 the schedule has enough distinct points to stall;
+    # beyond, it runs into c (every offset rounds to c from 1e17 on) and
+    # must end without a value instead of evaluating F at c
+    c = sign * 10.0 ** e
+    seen = []
+
+    def F(x):
+        seen.append(x)
+        return math.sin(x)
+
+    try:
+        res = one_sided_limit(F, c, side)
+    except NonConvergent:
+        assert e > 10
+    else:
+        assert abs(res.value - math.sin(c)) <= 1e-13
+    assert c not in seen
+
+
+@pytest.mark.parametrize("c", [1e7, -1e9, 1e10])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_large_endpoint_extrapolates_in_the_actual_offsets(c, side):
+    # c -/+ 0.1/4^k is rounded to the ulp of c (1.9e-9 at 1e7), so the
+    # offsets no longer shrink by exactly 4; extrapolating with the nominal
+    # ratio left rounding noise above the stall tolerance
+    res = one_sided_limit(math.sin, c, side)
+    assert res.converged and res.steps_used <= 10
+    assert abs(res.value - math.sin(c)) <= 1e-15
+
+
+def test_endpoint_beyond_the_schedule_resolution_has_no_limit():
+    # at 1e12 (ulp 1.2e-4) the schedule reaches c after 6 distinct points,
+    # too few for a stall on the extrapolates
+    with pytest.raises(NonConvergent) as info:
+        one_sided_limit(math.sin, 1e12, "left")
+    assert info.value.steps_used < 10
+
+
 def test_divergent_limit_raises():
     with pytest.raises(NonConvergent):
         one_sided_limit(lambda x: 1.0 / x, 0.0, "right")
@@ -41,6 +91,19 @@ def test_exp_decay_limit_at_infinity():
 def test_arctan_limit_at_infinity():
     res = limit_at_infinity(math.atan, "pos")
     assert abs(res.value - math.pi / 2) <= 1e-9
+
+
+def test_ray_schedule_is_drawn_lazily():
+    calls = []
+
+    def schedule(k):
+        calls.append(k)
+        return 2.0 ** k
+
+    cfg = LimitConfig(infinity_schedule=schedule)
+    res = limit_at_infinity(lambda x: -math.exp(-x), "pos", cfg)
+    assert res.converged
+    assert len(calls) <= res.steps_used
 
 
 def test_linear_growth_raises():

@@ -117,7 +117,16 @@ def test_hake_takes_the_lower_limit_from_the_full_integral():
     # the lower schedule approaches 0 from 0.1; the upper and truncation
     # schedules start at 1, so each point below 1/2 is a lower-limit step
     lower_steps = [x for x in points if x < 0.5]
-    assert len(lower_steps) == full.lower_limit.steps_used == 19
+    assert len(lower_steps) == full.lower_limit.steps_used == 9
+
+
+def test_hake_finite_default_schedule_is_extrapolated():
+    # b - (b - a)/2^k approaches b by a fixed ratio of 2, so the truncated
+    # integrals stall on their extrapolates; on the raw values they stall
+    # about 2e-11 short of the full integral
+    rep = hake_check(pair_for("cos", 0.3, 2.1))
+    assert rep.holds and rep.residual <= 1e-12
+    assert abs(rep.rhs - (math.sin(2.1) - math.sin(0.3))) <= 1e-12
 
 
 def test_hake_point_outside_domain():
@@ -450,10 +459,27 @@ def test_reversal_property(a, b):
 
 
 def test_domain_error_in_a_primitive_raises_evaluation_failure():
-    # the left schedule toward 1 reaches x == 1.0, where log raises
-    pair = PrimitivePair(RealFunction(lambda x: 1.0 / (1.0 - x)),
-                         RealFunction(lambda x: -math.log(1.0 - x)),
-                         Interval(0.0, 1.0))
-    with pytest.raises(EvaluationFailure, match="x=1.0") as info:
+    # x log x - x is undefined for x < 0; the right schedule toward -1 starts
+    # at -0.9, inside the interval but outside the primitive's domain
+    pair = PrimitivePair(RealFunction(math.log),
+                         RealFunction(lambda x: x * math.log(x) - x),
+                         Interval(-1.0, 1.0))
+    with pytest.raises(EvaluationFailure, match="x=-0.9") as info:
         newton_integral(pair)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_divergent_endpoint_ends_before_the_endpoint_itself():
+    # -log(1 - x) has no limit at 1; the left schedule ends where it would
+    # round to 1.0, so log never sees 0 and the limit is reported missing
+    points = []
+
+    def primitive(x):
+        points.append(x)
+        return -math.log(1.0 - x)
+
+    pair = PrimitivePair(RealFunction(lambda x: 1.0 / (1.0 - x)),
+                         RealFunction(primitive), Interval(0.0, 1.0))
+    with pytest.raises(NonConvergent):
+        newton_integral(pair)
+    assert 1.0 not in points

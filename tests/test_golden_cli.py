@@ -14,6 +14,18 @@ quadratic antiderivatives to quadratic pieces with cubic antiderivatives.
 Every moved value lies closer to an independent high-precision reference,
 except two that stay about as close: the special case's yx value (error
 1.03e-7 -> 1.09e-7) and the numeric 12! (relative error 3.7e-16 -> 1.5e-15).
+Eight files moved when finite-endpoint limits began to stall on two
+Richardson columns and the strip constant came from Richardson
+extrapolation of 1000/2000/4000 terms: fubini_counterexample,
+fubini_special, gauss, integrate_cos, stirling, sumint, wallis and
+integrate_exp_neg_square; fubini_rect, fubini_decay and gamma stayed
+byte-identical.  Every moved value lies closer to its reference except
+two.  integrate_exp_neg_square went from error 8.7e-14 to 1.9e-12: the
+limits now reproduce the built primitive's own P(1) - P(0), whose
+construction error the older, biased limits happened to cancel.  The
+counterexample's xy value went from 2.121e-9 to 2.123e-9, an error set by
+its builder's 1e-8 gap; the move itself is the unit exponential integral
+landing on 1.
 Commands run in-process through ``cli.main``.
 """
 

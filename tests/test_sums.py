@@ -200,3 +200,9 @@ def test_internal_constant_agrees_with_wallis_route():
     wallis_d = determine_stirling_constant(100000)
     # each carries its own O(1/n)-scale error budget
     assert abs(mine - wallis_d) <= 1e-4
+
+
+def test_internal_constant_matches_root_two_pi():
+    # two Richardson columns over 1000, 2000 and 4000 strip remainders;
+    # the error left is set by rounding in the remainders themselves
+    assert abs(stirling_constant_estimate() - math.sqrt(2.0 * math.pi)) <= 1e-9

@@ -3,7 +3,8 @@
 Output goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Floats are printed with 15 significant digits so identical invocations
 produce byte-identical output.  Exit codes: 0 all checks passed, 2 a
-numerical check failed, 64 usage error (including unknown registry ids).
+numerical check failed, 64 usage error (including unknown registry ids and
+arguments out of a function's range).
 
 NEWTON_CALC_THREADS caps the worker threads used for row computation;
 rows are always emitted in input order regardless.
@@ -26,13 +27,13 @@ import numpy as np
 
 from . import builder
 from .builder import build_primitive
-from .core import Interval, NewtonCalcError
+from .core import NewtonCalcError
 from .engine import newton_integral, pair_from_primitive
 from .fubini import (BivariateFunction, asymmetry_counterexample,
                      decay_bounded_fubini, iterated_rectangle,
                      special_infinite_fubini)
 from .functions import (UnknownFunction, factorial_product,
-                        get_bivariate, get_function)
+                        get_bivariate, get_function, pair_for)
 from .laplace import gamma_integral, gauss_integral, stirling_via_laplace
 from .sums import incomplete_stirling, monotone_sum_vs_integral
 from .wallis import three_way
@@ -215,6 +216,16 @@ def _parse_bound(text: str) -> float:
     return value
 
 
+def _parse_nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return value
+
+
 def _parse_epsilon(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 0.5:
@@ -227,8 +238,7 @@ def _cmd_integrate(args, out) -> int:
     lo, hi = args.lo, args.hi
     finite = math.isfinite(lo) and math.isfinite(hi)
     if nf.primitive is not None:
-        from .engine import PrimitivePair
-        pair = PrimitivePair(nf.fn, nf.primitive, Interval(lo, hi))
+        pair = pair_for(args.function_id, lo, hi)
         built_level = None
     elif finite:
         cache_path = None
@@ -347,7 +357,7 @@ def _build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("wallis", help="cosine-power sequence three ways")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_parse_nonnegative, required=True)
     add_format(p)
 
     p = sub.add_parser("gamma", help="factorial via the gamma integrand")
@@ -405,7 +415,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = sys.stdout if out is None else out
     try:
         return _HANDLERS[args.command](args, out)
-    except UnknownFunction as exc:
+    except (UnknownFunction, ValueError) as exc:
+        # a ValueError here is an argument out of a function's range
         print(f"newton-calc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NewtonCalcError as exc:

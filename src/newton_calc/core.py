@@ -208,12 +208,12 @@ class RealFunction:
                         dtype=float).reshape(arr.shape)
 
 
-def real_function(f: Union[RealFunction, Callable[[float], float]],
-                  label: str = "") -> RealFunction:
+def real_function(f: Union[RealFunction, Callable[[float], float]]
+                  ) -> RealFunction:
     """Coerce a bare callable into a RealFunction (idempotent)."""
     if isinstance(f, RealFunction):
         return f
-    return RealFunction(f, label=label or getattr(f, "__name__", ""))
+    return RealFunction(f, label=getattr(f, "__name__", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +228,16 @@ def _doubling_schedule(k: int) -> float:
 class LimitConfig:
     """Parameters of the numerical limit schedules.
 
-    Finite endpoints are probed at offsets start_offset / approach_factor**k,
-    infinite ones at infinity_schedule(k).  Geometric schedules converge
-    exponentially for every exponentially decaying tail in this package.
+    Finite endpoints are probed at offsets 0.1 / 4**k, infinite ones at
+    infinity_schedule(k).  Geometric schedules converge exponentially for
+    every exponentially decaying tail in this package.
     """
 
-    start_offset: float = 1e-1
-    approach_factor: float = 4.0
     stall_tolerance: float = 1e-10
     max_steps: int = 60
     infinity_schedule: Callable[[int], float] = _doubling_schedule
 
     def __post_init__(self) -> None:
-        if not self.approach_factor > 1.0:
-            raise ValueError("approach_factor must exceed 1")
-        if not self.start_offset > 0.0:
-            raise ValueError("start_offset must be positive")
         if not self.stall_tolerance > 0.0:
             raise ValueError("stall_tolerance must be positive")
         if self.max_steps < 3:
@@ -269,6 +263,10 @@ class LimitResult:
 
 
 _STALL_RUNS = 3  # consecutive small deltas required before convergence
+
+# finite endpoints are probed at offsets _START_OFFSET / _APPROACH_FACTOR**k
+_START_OFFSET = 0.1
+_APPROACH_FACTOR = 4.0
 
 # Relative slack within which the ratio of two offsets counts as ``ratio``.
 # Within it the Richardson columns divide by exactly ratio - 1 and
@@ -355,22 +353,22 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
                     cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
     """Limit of F at a finite endpoint from the given side ("left"/"right").
 
-    Evaluates F at endpoint -/+ start_offset / approach_factor**k and
-    reports the stabilized Richardson extrapolate of those values.  Raises
-    NonConvergent when the deltas never stall or the schedule reaches the
-    endpoint first, and EvaluationFailure on NaN, overflow or an
-    ArithmeticError/ValueError from F anywhere in the schedule (such points
-    are never silently skipped).
+    Evaluates F at endpoint -/+ 0.1 / 4**k and reports the stabilized
+    Richardson extrapolate of those values.  Raises NonConvergent when the
+    deltas never stall or the schedule reaches the endpoint first, and
+    EvaluationFailure on NaN, overflow or an ArithmeticError/ValueError
+    from F anywhere in the schedule (such points are never silently
+    skipped).
     """
     F = real_function(F)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sign = -1.0 if side == "left" else 1.0
-    points = (endpoint + sign * (cfg.start_offset / cfg.approach_factor ** k)
+    points = (endpoint + sign * (_START_OFFSET / _APPROACH_FACTOR ** k)
               for k in range(cfg.max_steps))
     return _stalled_limit(points, F, cfg,
                           f"one_sided_limit at {endpoint!r} ({side})",
-                          endpoint, cfg.approach_factor)
+                          endpoint, _APPROACH_FACTOR)
 
 
 def _ray(mult: float, cfg: LimitConfig) -> Iterator[float]:

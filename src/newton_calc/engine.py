@@ -110,10 +110,10 @@ class PrimitivePair:
 
 
 def pair_from_primitive(P: PiecewisePrimitive,
-                        f: Union[RealFunction, Callable[[float], float]],
-                        label: str = "") -> PrimitivePair:
+                        f: Union[RealFunction, Callable[[float], float]]
+                        ) -> PrimitivePair:
     """Wrap a built piecewise antiderivative as a PrimitivePair."""
-    f = real_function(f, label)
+    f = real_function(f)
     a, b = P.domain
     F = RealFunction(P.evaluate, label=f"antiderivative of {f.label}",
                      vector_fn=P.many)
@@ -288,10 +288,7 @@ def split_additive(pair: PrimitivePair, c: float,
     return left, right, report
 
 
-def monotone_compare(p: PrimitivePair, q: PrimitivePair,
-                     sample_count: int = 257,
-                     cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
-                     tolerance: Optional[float] = None) -> IdentityReport:
+def monotone_compare(p: PrimitivePair, q: PrimitivePair) -> IdentityReport:
     """Check integral monotonicity for sampled-pointwise f <= g.
 
     Raises PointwiseOrderViolated if any sample has f(x) > g(x) (beyond a
@@ -300,7 +297,7 @@ def monotone_compare(p: PrimitivePair, q: PrimitivePair,
     """
     if p.domain != q.domain:
         raise DomainMismatch("monotone_compare needs a common domain")
-    xs = chebyshev_samples(p.domain, sample_count)
+    xs = chebyshev_samples(p.domain)
     fv = p.integrand.many(xs)
     gv = q.integrand.many(xs)
     slack = 1e-12 * np.maximum(1.0, np.abs(gv))
@@ -309,48 +306,46 @@ def monotone_compare(p: PrimitivePair, q: PrimitivePair,
         i = int(bad[0])
         raise PointwiseOrderViolated(
             f"f({xs[i]!r}) = {fv[i]!r} > g({xs[i]!r}) = {gv[i]!r}")
-    tol = default_identity_tolerance(p.domain) if tolerance is None else tolerance
-    lhs = newton_integral(p, cfg).value
-    rhs = newton_integral(q, cfg).value
+    tol = default_identity_tolerance(p.domain)
+    lhs = newton_integral(p).value
+    rhs = newton_integral(q).value
     return IdentityReport.upper_bound(lhs, rhs, tol)
 
 
-def ml_bound_check(pair: PrimitivePair, bound: float, side: str = "upper",
-                   cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
-                   sample_count: int = 257,
-                   tolerance: float = FINITE_TOLERANCE) -> IdentityReport:
+def ml_bound_check(pair: PrimitivePair, bound: float,
+                   side: str = "upper") -> IdentityReport:
     """Integral versus bound * (b - a) on a finite interval."""
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     if not pair.domain.is_finite:
         raise InfiniteInterval("the ML bound needs finite endpoints")
-    xs = chebyshev_samples(pair.domain, sample_count)
+    xs = chebyshev_samples(pair.domain)
     fv = pair.integrand.many(xs)
     slack = 1e-12 * max(1.0, abs(bound))
     if side == "upper" and np.any(fv > bound + slack):
         raise PointwiseOrderViolated("sampled integrand exceeds the bound")
     if side == "lower" and np.any(fv < bound - slack):
         raise PointwiseOrderViolated("sampled integrand drops below the bound")
-    value = newton_integral(pair, cfg).value
+    value = newton_integral(pair).value
     cap = bound * pair.domain.length
     if side == "upper":
-        return IdentityReport.upper_bound(value, cap, tolerance)
-    return IdentityReport.upper_bound(cap, value, tolerance)
+        return IdentityReport.upper_bound(value, cap, FINITE_TOLERANCE)
+    return IdentityReport.upper_bound(cap, value, FINITE_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
 # by parts and substitution
 # ---------------------------------------------------------------------------
 
-def primitive_spot_check(pair: PrimitivePair, sample_count: int = 257,
-                         rel_tolerance: float = 1e-4) -> float:
+def primitive_spot_check(pair: PrimitivePair) -> float:
     """Max scaled discrepancy between finite differences of F and f.
 
     Samples Chebyshev points of the domain (rationally mapped for rays).
-    Returns the worst scaled error; raises PrimitiveMismatch when the
-    claimed antiderivative is grossly inconsistent with the integrand.
+    Returns the worst scaled error; raises PrimitiveMismatch when it
+    exceeds 1e-4, i.e. the claimed antiderivative is grossly inconsistent
+    with the integrand.
     """
-    xs = chebyshev_samples(pair.domain, sample_count)
+    xs = chebyshev_samples(pair.domain)
     h = 1e-6 * np.maximum(1.0, np.abs(xs))
     inside = (xs - h > pair.domain.a) & (xs + h < pair.domain.b)
     xs, h = xs[inside], h[inside]
@@ -360,7 +355,7 @@ def primitive_spot_check(pair: PrimitivePair, sample_count: int = 257,
     scale = np.maximum(1.0, np.maximum(np.abs(fv),
                                        np.abs(Fv) / np.maximum(1.0, np.abs(xs))))
     worst = float(np.max(np.abs(fd - fv) / scale))
-    if worst > rel_tolerance:
+    if worst > 1e-4:
         raise PrimitiveMismatch(
             f"finite differences of {pair.primitive.label or 'F'} disagree "
             f"with {pair.integrand.label or 'f'} (scaled error {worst:.3e})")
@@ -374,11 +369,10 @@ def integrate_by_parts(F: Union[RealFunction, Callable[[float], float]],
                        domain: Union[Interval, Tuple[float, float]],
                        fG_primitive: Union[RealFunction, Callable[[float], float]],
                        Fg_primitive: Union[RealFunction, Callable[[float], float]],
-                       cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
-                       spot_check: bool = True) -> IdentityReport:
+                       cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> IdentityReport:
     """Verify  int f*G = [F*G] - int F*g  on the domain.
 
-    F' = f and G' = g are finite-difference spot-checked unless disabled.
+    F' = f and G' = g are finite-difference spot-checked first.
     The boundary term [F*G] uses the same endpoint-limit machinery as any
     integral, so a non-convergent boundary propagates.
     """
@@ -386,9 +380,8 @@ def integrate_by_parts(F: Union[RealFunction, Callable[[float], float]],
     G, g = real_function(G), real_function(g)
     iv = as_interval(domain)
 
-    if spot_check:
-        primitive_spot_check(PrimitivePair(f, F, iv))
-        primitive_spot_check(PrimitivePair(g, G, iv))
+    primitive_spot_check(PrimitivePair(f, F, iv))
+    primitive_spot_check(PrimitivePair(g, G, iv))
 
     def fG(x: float) -> float:
         return f(x) * G(x)
@@ -414,9 +407,7 @@ def substitute(pair: PrimitivePair,
                g_prime: Union[RealFunction, Callable[[float], float]],
                source: Union[Interval, Tuple[float, float]],
                flipped: bool = False,
-               cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
-               sample_count: int = 257,
-               spot_check: bool = True) -> IdentityReport:
+               cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> IdentityReport:
     """Verify the substitution rule  int_source (f o g) g' = int f.
 
     The source integral is evaluated through the antiderivative F o g; a
@@ -429,7 +420,7 @@ def substitute(pair: PrimitivePair,
     g_prime = real_function(g_prime)
     src = as_interval(source)
 
-    xs = chebyshev_samples(src, sample_count)
+    xs = chebyshev_samples(src)
     gx = g.many(xs)
     margin = 1e-9
     if np.any(gx < pair.domain.a - margin) or np.any(gx > pair.domain.b + margin):
@@ -445,8 +436,7 @@ def substitute(pair: PrimitivePair,
 
     pushed = PrimitivePair(RealFunction(pushed_integrand),
                            RealFunction(pushed_primitive), src)
-    if spot_check:
-        primitive_spot_check(pushed, sample_count)
+    primitive_spot_check(pushed)
 
     lhs = newton_integral(pushed, cfg).value
     rhs = newton_integral(pair, cfg).value

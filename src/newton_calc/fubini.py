@@ -217,8 +217,7 @@ def inner_integral_function(f: BivariateFunction, y_iv: Interval,
     return RealFunction(scalar, label=f"inner[{f.label}]", vector_fn=vector)
 
 
-RECT_CFG = BuildConfig(target_uniform_gap=3e-7, max_refinement=22,
-                       probe_grid=257, min_refinement=6)
+RECT_CFG = BuildConfig(target_uniform_gap=3e-7, min_refinement=6)
 
 
 def iterated_rectangle(f, x_interval, y_interval, order: str = "xy",
@@ -264,8 +263,7 @@ def gaussian_half_line_truncated() -> float:
     Truncated at x = 10; the discarded tail is below exp(-100)/10, far
     under every tolerance used here.
     """
-    cfg = BuildConfig(target_uniform_gap=1e-10, max_refinement=22,
-                      probe_grid=257)
+    cfg = BuildConfig(target_uniform_gap=1e-10)
     P = build_primitive(
         RealFunction(lambda x: math.exp(-x * x), label="exp(-x^2)",
                      vector_fn=lambda xs: np.exp(-xs * xs)),
@@ -274,15 +272,14 @@ def gaussian_half_line_truncated() -> float:
     return newton_integral(pair).value
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float,
-                iters: int = 200) -> float:
+def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Maximum of a unimodal function by golden-section search."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(200):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -354,14 +351,12 @@ def _special_cfg(b: float) -> BuildConfig:
     # slack (the truncation gap itself decays like b**-1/2, so chasing
     # digits there buys nothing)
     gap = 5e-8 if b <= 2.0 else 1e-5
-    return BuildConfig(target_uniform_gap=gap, max_refinement=22,
-                       probe_grid=129, min_refinement=6)
+    return BuildConfig(target_uniform_gap=gap, probe_grid=129,
+                       min_refinement=6)
 
 
 @lru_cache(maxsize=64)
-def special_infinite_fubini(b: float,
-                            cfg: Optional[BuildConfig] = None
-                            ) -> IteratedIntegralReport:
+def special_infinite_fubini(b: float) -> IteratedIntegralReport:
     """Truncated iterated integrals of the special function plus certificates.
 
     A(b) and B(b) are the two orders over [0, b]^2; the full value is the
@@ -371,8 +366,7 @@ def special_infinite_fubini(b: float,
     """
     if not b >= 1.0:
         raise ValueError("b must be at least 1")
-    if cfg is None:
-        cfg = _special_cfg(b)
+    cfg = _special_cfg(b)
     f = special_integrand()
     a_b = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", cfg)
     b_b = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", cfg)
@@ -406,13 +400,12 @@ def _check_decay(f: BivariateFunction, c: float, b_max: float,
                 f"|f| exceeds {c} * max(x,y)^-3 near max(x,y) = {m:.3g}")
 
 
-_DECAY_CFG = BuildConfig(target_uniform_gap=1e-7, max_refinement=22,
-                         probe_grid=129, min_refinement=6)
+_DECAY_CFG = BuildConfig(target_uniform_gap=1e-7, probe_grid=129,
+                         min_refinement=6)
 
 
 def decay_bounded_fubini(f, c: float,
                          truncation_schedule: Iterable[float],
-                         cfg: BuildConfig = _DECAY_CFG,
                          rng: Optional[np.random.Generator] = None
                          ) -> Tuple[IteratedIntegralReport,
                                     List[Tuple[float, float, float]]]:
@@ -429,8 +422,8 @@ def decay_bounded_fubini(f, c: float,
     _check_decay(f, c, schedule[-1], rng)
     history: List[Tuple[float, float, float]] = []
     for b in schedule:
-        vxy = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", cfg)
-        vyx = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", cfg)
+        vxy = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", _DECAY_CFG)
+        vyx = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", _DECAY_CFG)
         history.append((b, vxy, vyx))
     b_last, vxy, vyx = history[-1]
     tail = 2.0 * c / b_last
@@ -511,7 +504,8 @@ def _ridge_excess(xs: np.ndarray) -> np.ndarray:
         lo = np.full_like(xs, lo_val)
         hi = np.full_like(xs, hi_val)
         g_lo = g(lo)
-        for _ in range(90):
+        # t-, t+ lie in 0.45 <~ |t| <= 1: ~55 halvings reach adjacent floats
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
             g_mid = g(mid)
             same = np.sign(g_mid) == np.sign(g_lo)
@@ -547,13 +541,11 @@ class CounterexampleReport:
     order_yx_partial: float
 
 
-_CE_CFG = BuildConfig(target_uniform_gap=1e-8, max_refinement=22,
-                      probe_grid=257)
+_CE_CFG = BuildConfig(target_uniform_gap=1e-8)
 
 
 @lru_cache(maxsize=64)
-def asymmetry_counterexample(X: float,
-                             cfg: BuildConfig = _CE_CFG) -> CounterexampleReport:
+def asymmetry_counterexample(X: float) -> CounterexampleReport:
     """Evaluate both orders of the witness family truncated at X.
 
     The y-inner/x-outer value stabilizes as X grows (the inner values are
@@ -564,23 +556,23 @@ def asymmetry_counterexample(X: float,
     if not X >= 1.0:
         raise ValueError("X must be at least 1")
     inner = _counterexample_inner_xy()
-    P = build_primitive(inner, (0.0, X), cfg)
+    P = build_primitive(inner, (0.0, X), _CE_CFG)
     xy_value = float(P.evaluate(X))
 
     line = counterexample_family().transposed().section_at_x(1.0)
-    P_line = build_primitive(line, (0.0, X), cfg)
+    P_line = build_primitive(line, (0.0, X), _CE_CFG)
     yx_partial = float(P_line.evaluate(X))
     return CounterexampleReport(truncation=X, order_xy_value=xy_value,
                                 order_yx_partial=yx_partial)
 
 
-def counterexample_section_integral(y: float, upper: float = 60.0,
-                                    cfg: BuildConfig = _CE_CFG) -> float:
-    """Integral over x in (0, upper) of the witness at a fixed y.
+def counterexample_section_integral(y: float) -> float:
+    """Integral over x in (0, 60) of the witness at a fixed y.
 
     Finite for every y != 1 (the ridge width decays), and growing without
     bound in the truncation at y = 1.
     """
+    upper = 60.0
     section = counterexample_family().transposed().section_at_x(y)
-    P = build_primitive(section, (0.0, upper), cfg)
+    P = build_primitive(section, (0.0, upper), _CE_CFG)
     return float(P.evaluate(upper))

@@ -119,8 +119,7 @@ _FAR_CUTOFF = 8.0
 # (n = 25 at epsilon = 0.3) sits at 0.526, so the gate admits it
 _N_DELTA_CUBED_CAP = 0.75
 
-_PIECE_CFG = BuildConfig(target_uniform_gap=1e-10, max_refinement=22,
-                         probe_grid=129)
+_PIECE_CFG = BuildConfig(target_uniform_gap=1e-10, probe_grid=129)
 
 
 def _piece(f: RealFunction, lo: float, hi: float,
@@ -161,8 +160,7 @@ def gamma_integral(n: int, mode: str = "exact_primitive") -> float:
         raise ValueError("truncation point too aggressive for this n")
     # the gap target is scaled to the answer: a 1e-7 relative stall leaves
     # quadrature error two orders under the 1e-6 numeric-mode contract
-    cfg = BuildConfig(target_uniform_gap=max(1e-7 * scale, 1e-12) / T,
-                      max_refinement=22, probe_grid=257)
+    cfg = BuildConfig(target_uniform_gap=max(1e-7 * scale, 1e-12) / T)
 
     def integrand(x: float) -> float:
         return x ** n * math.exp(-x)
@@ -207,10 +205,10 @@ def centered_integrand(n: int) -> RealFunction:
     return f
 
 
-def _gaussian_bulk(n: int, delta: float) -> float:
-    g = RealFunction(lambda y: math.exp(-n * y * y / 2.0),
-                     vector_fn=lambda ys: np.exp(-n * ys * ys / 2.0))
-    return _piece(g, -delta, delta)
+def _gaussian(n: int) -> RealFunction:
+    """y -> exp(-n y^2 / 2), the Gaussian the bulk reduces to."""
+    return RealFunction(lambda y: math.exp(-n * y * y / 2.0),
+                        vector_fn=lambda ys: np.exp(-n * ys * ys / 2.0))
 
 
 def _concentrate_raw(cfg: LaplaceConfig) -> Tuple[float, float, float, float,
@@ -221,7 +219,7 @@ def _concentrate_raw(cfg: LaplaceConfig) -> Tuple[float, float, float, float,
     I2 = _piece(f, -d, d)
     I3 = _piece(f, d, _OUTER_SPLIT)
     I4 = _piece(f, _OUTER_SPLIT, _FAR_CUTOFF)
-    main = _gaussian_bulk(cfg.n, d)
+    main = _piece(_gaussian(cfg.n), -d, d)
     full = _piece(f, -1.0, _FAR_CUTOFF)
     return I1, I2, I3, I4, main, full
 
@@ -282,9 +280,8 @@ def reduce_to_gauss(cfg: LaplaceConfig) -> IdentityReport:
     truncation point T, far below the report tolerance.
     """
     n, d = cfg.n, cfg.delta
-    lhs = _gaussian_bulk(n, d)
-    g = RealFunction(lambda y: math.exp(-n * y * y / 2.0),
-                     vector_fn=lambda ys: np.exp(-n * ys * ys / 2.0))
+    g = _gaussian(n)
+    lhs = _piece(g, -d, d)
     T6 = max(_FAR_CUTOFF, d + 80.0 / (n * d))
     I6 = _piece(g, d, T6)
     rhs = math.sqrt(2.0 / n) * gauss_integral() - 2.0 * I6
@@ -335,14 +332,12 @@ def gauss_integral(verify_fubini_at: Optional[float] = None,
     return 2.0 * math.sqrt(_gauss_quarter(cfg))
 
 
-def gauss_half_line(side: str = "pos") -> float:
-    """Integral of exp(-t^2) over (0, inf) or (-inf, 0).
+def gauss_half_line() -> float:
+    """Integral of exp(-t^2) over (0, inf), i.e. sqrt(_gauss_quarter()).
 
-    Both sides return sqrt(_gauss_quarter()), the same float bit for bit;
-    by the flipping substitution t -> -t the negative ray has that value.
+    By the flipping substitution t -> -t the ray (-inf, 0) has the same
+    value.
     """
-    if side not in ("pos", "neg"):
-        raise ValueError("side must be 'pos' or 'neg'")
     return math.sqrt(_gauss_quarter())
 
 

@@ -23,8 +23,8 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (DEFAULT_LIMIT_CONFIG, DecayViolation, Interval,
-                   LimitConfig, NewtonCalcError, RealFunction, real_function)
+from .core import (DecayViolation, Interval, NewtonCalcError, RealFunction,
+                   real_function)
 from .engine import PrimitivePair, newton_integral
 from .functions import _xlogx_minus_x
 
@@ -121,9 +121,7 @@ def _sampled_direction(f: RealFunction, a: int, b: int) -> int:
 
 def monotone_sum_vs_integral(f: Union[RealFunction, Callable[[float], float]],
                              F: Union[RealFunction, Callable[[float], float]],
-                             a: int, b: int,
-                             cfg: LimitConfig = DEFAULT_LIMIT_CONFIG
-                             ) -> SumIntegralReport:
+                             a: int, b: int) -> SumIntegralReport:
     """Solve sum_{a<n<=b} f(n) = integral + theta (f(b) - f(a)) for theta."""
     if not b > a:
         raise ValueError("need b > a")
@@ -132,7 +130,7 @@ def monotone_sum_vs_integral(f: Union[RealFunction, Callable[[float], float]],
     _sampled_direction(f, a, b)
     total = math.fsum(f(float(n)) for n in range(a + 1, b + 1))
     integral = newton_integral(
-        PrimitivePair(f, F, Interval(float(a), float(b))), cfg).value
+        PrimitivePair(f, F, Interval(float(a), float(b)))).value
     fa, fb = f(float(a)), f(float(b))
     theta = None if fb == fa else (total - integral) / (fb - fa)
     return SumIntegralReport(sum=total, integral=integral, theta=theta,
@@ -143,14 +141,13 @@ def monotone_sum_vs_integral(f: Union[RealFunction, Callable[[float], float]],
 # reciprocal-square tails
 # ---------------------------------------------------------------------------
 
-def tail_bound_by_integral(n: int, M: float = math.inf,
-                           cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> float:
-    """Integral of x^-2 over (n, M), evaluated from the antiderivative -1/x."""
+def tail_bound_by_integral(n: int) -> float:
+    """Integral of x^-2 over (n, inf), evaluated from the antiderivative -1/x."""
     pair = PrimitivePair(
         RealFunction(lambda x: 1.0 / (x * x), vector_fn=lambda xs: 1.0 / (xs * xs)),
         RealFunction(lambda x: -1.0 / x, vector_fn=lambda xs: -1.0 / xs),
-        Interval(float(n), M))
-    return newton_integral(pair, cfg).value
+        Interval(float(n), math.inf))
+    return newton_integral(pair).value
 
 
 def tail_bound_by_telescoping(n: int) -> float:

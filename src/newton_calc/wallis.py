@@ -42,8 +42,7 @@ __all__ = [
 # worth paying; recurrence and closed form carry large n
 INTEGRAL_CUTOFF = 30
 
-_WALLIS_BUILD_CFG = BuildConfig(target_uniform_gap=2e-10, max_refinement=22,
-                                probe_grid=257)
+_WALLIS_BUILD_CFG = BuildConfig(target_uniform_gap=2e-10)
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,7 @@ def wallis_recurrence(n: int) -> float:
     return even if n % 2 == 0 else odd
 
 
-def wallis_integral(n: int,
-                    cfg: BuildConfig = _WALLIS_BUILD_CFG) -> float:
+def wallis_integral(n: int) -> float:
     """Newton integral of cos^n over (0, pi/2) from a built antiderivative.
 
     No closed-form antiderivative is supplied; the piecewise construction
@@ -85,7 +83,7 @@ def wallis_integral(n: int,
         return np.cos(xs) ** n
 
     f = RealFunction(scalar, label=f"cos^{n}", vector_fn=vector)
-    P = build_primitive(f, (0.0, math.pi / 2.0), cfg)
+    P = build_primitive(f, (0.0, math.pi / 2.0), _WALLIS_BUILD_CFG)
     return newton_integral(pair_from_primitive(P, f)).value
 
 
@@ -105,12 +103,13 @@ def wallis_closed_form(n: int) -> float:
     return math.exp(log_wallis_closed_form(n))
 
 
-def ratio_bounds_check(n: int, tolerance: float = 1e-12) -> IdentityReport:
-    """Check n/(n+1) <= W_n / W_{n-1} <= 1 through the closed forms."""
+def ratio_bounds_check(n: int) -> IdentityReport:
+    """Check n/(n+1) <= W_n / W_{n-1} <= 1, within 1e-12, through the
+    closed forms."""
     if n < 2:
         raise ValueError("n must be at least 2")
     ratio = math.exp(log_wallis_closed_form(n) - log_wallis_closed_form(n - 1))
-    return IdentityReport.within(ratio, n / (n + 1.0), 1.0, tolerance)
+    return IdentityReport.within(ratio, n / (n + 1.0), 1.0, 1e-12)
 
 
 def sandwich_scan(n_max: int) -> bool:
@@ -152,13 +151,10 @@ def determine_stirling_constant(n: int) -> float:
     return math.sqrt(2.0 * math.pi * ratio)
 
 
-def three_way(n: int, cfg: BuildConfig = _WALLIS_BUILD_CFG,
-              include_integral: Optional[bool] = None) -> WallisValue:
+def three_way(n: int) -> WallisValue:
     """W_n by recurrence, by integral (n <= cutoff), and by closed form."""
-    if include_integral is None:
-        include_integral = n <= INTEGRAL_CUTOFF
     return WallisValue(
         n=n,
         by_recurrence=wallis_recurrence(n),
-        by_integral=wallis_integral(n, cfg) if include_integral else None,
+        by_integral=wallis_integral(n) if n <= INTEGRAL_CUTOFF else None,
         by_closed_form=wallis_closed_form(n))

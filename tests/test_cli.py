@@ -149,6 +149,31 @@ def test_usage_error_exits_64(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    "integrate --function-id cos --lo 1 --hi 0",
+    "gamma --n -1",
+    "gamma --n 101 --mode numeric",
+    "stirling --n 0",
+    "fubini --case special --b 0.5",
+    "fubini --case counterexample --X 0.5",
+    "fubini --case rect --bounds 0 1 0 inf",
+    "sumint --function-id log --a 5 --b 2",
+    "wallis --n-max -3",
+])
+def test_out_of_range_argument_exits_64(capsys, argv):
+    try:
+        code = main(argv.split(), out=io.StringIO())
+    except SystemExit as exc:  # rejected by the parser itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    # one diagnostic line, last, after argparse's usage where it rejected
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("newton-calc")] \
+        == lines[-1:]
+
+
 def test_fubini_special():
     code, text = run_cli("fubini", "--case", "special", "--b", "4")
     assert code == EXIT_OK

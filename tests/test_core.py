@@ -177,8 +177,6 @@ def test_interval_invariant():
 
 def test_limit_config_validation():
     with pytest.raises(ValueError):
-        LimitConfig(approach_factor=1.0)
-    with pytest.raises(ValueError):
         LimitConfig(max_steps=2)
     with pytest.raises(ValueError):
         LimitConfig(stall_tolerance=0.0)

@@ -233,6 +233,11 @@ def _parse_epsilon(text: str) -> float:
     return value
 
 
+# argparse names a type callable by __name__ in "invalid <name> value: ..."
+_parse_bound.__name__ = "bound"
+_parse_epsilon.__name__ = "epsilon"
+
+
 def _cmd_integrate(args, out) -> int:
     nf = get_function(args.function_id)
     lo, hi = args.lo, args.hi

@@ -2,18 +2,20 @@
 
 Nothing in this package ever partitions an interval to integrate: every
 integral is the difference of two endpoint limits of an antiderivative.
-This module supplies those limits.  Finite endpoints are approached along
-a geometric offset schedule, infinite ones along a doubling schedule, and
-a limit counts as found only after three consecutive steps move the value
-by no more than the stall tolerance (a single small delta is too easy to
-hit by accident on an oscillating function).  At a finite endpoint the
-stall is on two Richardson columns of the values, along a ray on the raw
-values.  The columns assume the offsets shrink by the schedule's ratio;
-near an endpoint of large magnitude, where the points are rounded to a
-coarse grid, they use the actual offsets instead, so smooth limits are
-found up to |endpoint| of about 1e10.  Schedules are drawn one point at
-a time; a finite endpoint's schedule ends, without a limit, where its
-points stop moving, so F is never evaluated at the endpoint itself.
+This module supplies those limits, all from one kernel.  A finite
+endpoint c is approached at offsets 0.1 / 4**k; an infinite one is the
+same one-sided limit at t = 1- of G(t) = F(+-t / (1 - t)), the
+substitution rule applied to the limit, so a ray has no schedule of its
+own.  A limit counts as found only after three consecutive steps move
+the value by no more than the stall tolerance (a single small delta is
+too easy to hit by accident on an oscillating function).  The stall is
+on two Richardson columns of the values.  The columns assume the offsets
+shrink by the schedule's ratio; near an endpoint of large magnitude,
+where the points are rounded to a coarse grid, they use the actual
+offsets instead, so smooth limits are found up to |endpoint| of about
+1e10.  Schedules are drawn one point at a time and end, without a limit,
+where their points stop moving, so F is never evaluated at the endpoint
+itself (on a ray: every x is finite, at most about 9e15).
 
 All arithmetic is binary64.  Every operation here is pure given pure
 inputs, so concurrent use needs no locking.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -220,22 +222,16 @@ def real_function(f: Union[RealFunction, Callable[[float], float]]
 # limit schedules
 # ---------------------------------------------------------------------------
 
-def _doubling_schedule(k: int) -> float:
-    return float(2.0 ** k)
-
-
 @dataclass(frozen=True)
 class LimitConfig:
-    """Parameters of the numerical limit schedules.
+    """Parameters of the numerical limit schedule.
 
-    Finite endpoints are probed at offsets 0.1 / 4**k, infinite ones at
-    infinity_schedule(k).  Geometric schedules converge exponentially for
-    every exponentially decaying tail in this package.
+    Endpoints are probed at offsets 0.1 / 4**k, finite ones in x and
+    infinite ones in t = |x| / (1 + |x|), for at most max_steps points.
     """
 
     stall_tolerance: float = 1e-10
     max_steps: int = 60
-    infinity_schedule: Callable[[int], float] = _doubling_schedule
 
     def __post_init__(self) -> None:
         if not self.stall_tolerance > 0.0:
@@ -264,7 +260,7 @@ class LimitResult:
 
 _STALL_RUNS = 3  # consecutive small deltas required before convergence
 
-# finite endpoints are probed at offsets _START_OFFSET / _APPROACH_FACTOR**k
+# endpoints are probed at offsets _START_OFFSET / _APPROACH_FACTOR**k
 _START_OFFSET = 0.1
 _APPROACH_FACTOR = 4.0
 
@@ -283,7 +279,8 @@ def _stalled_limit(points: Iterable[float], F: RealFunction,
     """Evaluate F along ``points`` until the stall rule holds.
 
     Points are drawn one at a time, so a schedule is never computed past
-    the stall.  Without ``endpoint`` the stall is on the raw values.  With
+    the stall.  Without ``endpoint`` (only for a caller-supplied hake_check
+    truncation schedule) the stall is on the raw values.  With
     it (the points approach that finite endpoint at offsets shrinking by
     ``ratio``) the stall is on two Richardson columns, the values at
     offset 0 of the lines and the quadratic through the last two and
@@ -348,6 +345,14 @@ def _stalled_limit(points: Iterable[float], F: RealFunction,
         last_value=prev, last_delta=last_delta, steps_used=steps)
 
 
+def _approach(F: Callable[[float], float], endpoint: float, sign: float,
+              cfg: LimitConfig, what: str) -> LimitResult:
+    """_stalled_limit along endpoint + sign * 0.1 / 4**k, k < max_steps."""
+    points = (endpoint + sign * (_START_OFFSET / _APPROACH_FACTOR ** k)
+              for k in range(cfg.max_steps))
+    return _stalled_limit(points, F, cfg, what, endpoint, _APPROACH_FACTOR)
+
+
 def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
                     endpoint: float, side: str,
                     cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
@@ -363,23 +368,8 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
     F = real_function(F)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    sign = -1.0 if side == "left" else 1.0
-    points = (endpoint + sign * (_START_OFFSET / _APPROACH_FACTOR ** k)
-              for k in range(cfg.max_steps))
-    return _stalled_limit(points, F, cfg,
-                          f"one_sided_limit at {endpoint!r} ({side})",
-                          endpoint, _APPROACH_FACTOR)
-
-
-def _ray(mult: float, cfg: LimitConfig) -> Iterator[float]:
-    """mult * infinity_schedule(k), lazily, checking that it increases."""
-    prev = -math.inf
-    for k in range(cfg.max_steps):
-        x = float(cfg.infinity_schedule(k))
-        if not x > prev:
-            raise ValueError("infinity_schedule must be strictly increasing")
-        prev = x
-        yield mult * x
+    return _approach(F, endpoint, -1.0 if side == "left" else 1.0, cfg,
+                     f"one_sided_limit at {endpoint!r} ({side})")
 
 
 def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
@@ -387,16 +377,27 @@ def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
                       cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
     """Limit of F along the ray toward +inf ("pos") or -inf ("neg").
 
-    The stall is on the raw values.  The schedule is caller-supplied, and
-    on the default doubling one ratio-2 extrapolation in 1/x would take
-    exponential tails such as -exp(-x) from 9 to 11 steps (algebraic ones
-    such as arctan from 37 to 16).
+    The ray is the substitution x = +-t / (1 - t): its limit is the
+    one-sided limit at t = 1- of G(t) = F(+-t / (1 - t)), taken by the
+    finite-endpoint kernel with its schedule, stall rule and errors.  So
+    x runs 9, 39, 159, ..., about 4x per step, and the Richardson columns
+    in the offset 1 - t = 1 / (1 + |x|) cancel the terms of order 1/x and
+    1/x**2 of tails such as arctan's.  1 - t is exact (t >= 1/2), so
+    every evaluated x is finite; once t rounds to 1 (|x| about 9e15,
+    after 26 points) the schedule ends, and a ray without a limit raises
+    NonConvergent there.
     """
     F = real_function(F)
     if sign not in ("pos", "neg"):
         raise ValueError("sign must be 'pos' or 'neg'")
-    return _stalled_limit(_ray(1.0 if sign == "pos" else -1.0, cfg), F, cfg,
-                          f"limit_at_infinity ({sign})")
+    s = 1.0 if sign == "pos" else -1.0
+
+    def G(t: float) -> float:
+        return F(s * t / (1.0 - t))
+
+    return _approach(G, 1.0, -1.0, cfg,
+                     f"limit_at_infinity ({sign}) as x -> 1- in "
+                     f"F({'' if sign == 'pos' else '-'}x / (1 - x))")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "integrate_by_parts",
     "substitute",
     "pair_from_primitive",
-    "default_identity_tolerance",
     "primitive_spot_check",
 ]
 
@@ -76,16 +75,9 @@ class PrimitiveMismatch(NewtonCalcError):
     with the integrand (misuse signal, not a precision statement)."""
 
 
-# tolerances for identity reports: limits at infinite endpoints carry
-# schedule truncation error, so they get more slack
-FINITE_TOLERANCE = 1e-8
-INFINITE_TOLERANCE = 1e-6
-
-
-def default_identity_tolerance(*intervals: Interval) -> float:
-    if all(as_interval(iv).is_finite for iv in intervals):
-        return FINITE_TOLERANCE
-    return INFINITE_TOLERANCE
+# tolerance of every identity report; a ray's limit is taken by the same
+# kernel as a finite endpoint's, so infinite domains need no more slack
+IDENTITY_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -214,20 +206,12 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
     them and never evaluates points past the stall.  On the default
     schedule toward a finite upper endpoint b, b - (b - a) / 2**k, the
     stall is on the ratio-2 extrapolates to b, as at any finite endpoint
-    (about 15 steps where the raw values take about 36); a caller-supplied
-    schedule and the default ray schedule stay on the raw values.
+    (about 15 steps where the raw values take about 36).  Toward +inf the
+    default truncations are max(a, 0) + x along limit_at_infinity's ray.
+    A caller-supplied schedule stays on the raw values.
     """
     full = newton_integral(pair, cfg)
-    endpoint: Optional[float] = None
-    if truncation_schedule is None:
-        if pair.domain.hi.is_finite:
-            b, a = pair.domain.b, pair.domain.a
-            truncation_schedule = (b - (b - a) / 2.0 ** k
-                                   for k in range(1, cfg.max_steps))
-            endpoint = b
-        else:
-            truncation_schedule = (max(pair.domain.a + 1.0, 0.0) + 2.0 ** k
-                                   for k in range(cfg.max_steps))
+    a, b = pair.domain
 
     def truncated(c: float) -> float:
         if not pair.domain.contains(c):
@@ -235,12 +219,18 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
                 f"truncation point {c!r} not interior to the domain")
         return pair.primitive(c) - full.lower_limit.value
 
-    rhs = _stalled_limit(map(float, truncation_schedule),
-                         RealFunction(truncated), cfg,
-                         "hake_check: truncated integrals",
-                         endpoint, 2.0).value
-    tol = default_identity_tolerance(pair.domain)
-    return IdentityReport.equality(full.value, rhs, tol)
+    what = "hake_check: truncated integrals"
+    if truncation_schedule is not None:
+        rhs = _stalled_limit(map(float, truncation_schedule),
+                             RealFunction(truncated), cfg, what)
+    elif math.isinf(b):
+        rhs = limit_at_infinity(lambda x: truncated(max(a, 0.0) + x), "pos",
+                                cfg)
+    else:
+        rhs = _stalled_limit((b - (b - a) / 2.0 ** k
+                              for k in range(1, cfg.max_steps)),
+                             RealFunction(truncated), cfg, what, b, 2.0)
+    return IdentityReport.equality(full.value, rhs.value, IDENTITY_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +273,8 @@ def split_additive(pair: PrimitivePair, c: float,
     left = newton_integral(pair.restricted(pair.domain.a, c), cfg)
     right = newton_integral(pair.restricted(c, pair.domain.b), cfg)
     whole = newton_integral(pair, cfg)
-    tol = default_identity_tolerance(pair.domain)
-    report = IdentityReport.equality(left.value + right.value, whole.value, tol)
+    report = IdentityReport.equality(left.value + right.value, whole.value,
+                                     IDENTITY_TOLERANCE)
     return left, right, report
 
 
@@ -306,10 +296,9 @@ def monotone_compare(p: PrimitivePair, q: PrimitivePair) -> IdentityReport:
         i = int(bad[0])
         raise PointwiseOrderViolated(
             f"f({xs[i]!r}) = {fv[i]!r} > g({xs[i]!r}) = {gv[i]!r}")
-    tol = default_identity_tolerance(p.domain)
     lhs = newton_integral(p).value
     rhs = newton_integral(q).value
-    return IdentityReport.upper_bound(lhs, rhs, tol)
+    return IdentityReport.upper_bound(lhs, rhs, IDENTITY_TOLERANCE)
 
 
 def ml_bound_check(pair: PrimitivePair, bound: float,
@@ -329,8 +318,8 @@ def ml_bound_check(pair: PrimitivePair, bound: float,
     value = newton_integral(pair).value
     cap = bound * pair.domain.length
     if side == "upper":
-        return IdentityReport.upper_bound(value, cap, FINITE_TOLERANCE)
-    return IdentityReport.upper_bound(cap, value, FINITE_TOLERANCE)
+        return IdentityReport.upper_bound(value, cap, IDENTITY_TOLERANCE)
+    return IdentityReport.upper_bound(cap, value, IDENTITY_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +388,7 @@ def integrate_by_parts(F: Union[RealFunction, Callable[[float], float]],
     rhs_integral = newton_integral(
         PrimitivePair(RealFunction(Fg), Fg_primitive, iv), cfg).value
     rhs = (boundary_hi.value - boundary_lo.value) - rhs_integral
-    return IdentityReport.equality(lhs, rhs, default_identity_tolerance(iv))
+    return IdentityReport.equality(lhs, rhs, IDENTITY_TOLERANCE)
 
 
 def substitute(pair: PrimitivePair,
@@ -442,5 +431,4 @@ def substitute(pair: PrimitivePair,
     rhs = newton_integral(pair, cfg).value
     if flipped:
         rhs = -rhs
-    tol = default_identity_tolerance(pair.domain, src)
-    return IdentityReport.equality(lhs, rhs, tol)
+    return IdentityReport.equality(lhs, rhs, IDENTITY_TOLERANCE)

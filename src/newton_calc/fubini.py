@@ -518,8 +518,10 @@ def _ridge_excess(xs: np.ndarray) -> np.ndarray:
     t_plus = crossing(1.0, 0.0)
     tent = (-t_minus - 0.5 * t_minus * t_minus) \
         + (t_plus - 0.5 * t_plus * t_plus)
-    # integral of C exp(-w t) over [t-, t+]
-    expo = C * np.exp(-w * t_minus) * (-np.expm1(-w * (t_plus - t_minus))) / w
+    # integral of C exp(-w t) over [t-, t+]; C underflows before w does
+    # (x >= 745.13), so where w = 0 the numerator is 0 and so is expo
+    expo = C * np.exp(-w * t_minus) * (-np.expm1(-w * (t_plus - t_minus))) \
+        / np.where(w > 0.0, w, 1.0)
     return w * (tent - expo)
 
 

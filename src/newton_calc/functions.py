@@ -126,7 +126,10 @@ def gamma_pair(n: int) -> PrimitivePair:
 
     F_n(x) = -exp(-x) * sum_{k=0..n} (n!/k!) x**k, obtained by running
     integration by parts down to zero; differentiating telescopes the sum
-    back to x**n exp(-x).  Coefficients overflow binary64 past n = 170.
+    back to x**n exp(-x).  The sum is evaluated by Horner in x; where that
+    overflows (x >= 4 at n = 170) it is x**n times a Horner polynomial in
+    1/x, with x**n exp(-x) = exp(n log x - x), so F_n stays finite instead
+    of exp(-x) * inf = NaN.  Coefficients overflow binary64 past n = 170.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -136,30 +139,25 @@ def gamma_pair(n: int) -> PrimitivePair:
     coeffs = [1.0]                      # n!/k! for k = n down to 0
     for k in range(n, 0, -1):
         coeffs.append(coeffs[-1] * k)
-    falling = coeffs                     # descending powers for Horner
 
     def integrand(x: float) -> float:
         return x ** n * math.exp(-x)
 
-    def integrand_vec(xs: np.ndarray) -> np.ndarray:
-        return xs ** n * np.exp(-xs)
-
     def primitive(x: float) -> float:
         s = 0.0
-        for c in falling:
+        for c in coeffs:                 # descending powers of x
             s = s * x + c
-        return -math.exp(-x) * s
+        if s != math.inf:
+            return -math.exp(-x) * s
+        y = 1.0 / x
+        s = 0.0
+        for c in reversed(coeffs):       # descending powers of 1/x
+            s = s * y + c
+        return -math.exp(n * math.log(x) - x) * s
 
-    def primitive_vec(xs: np.ndarray) -> np.ndarray:
-        s = np.zeros_like(xs)
-        for c in falling:
-            s = s * xs + c
-        return -np.exp(-xs) * s
-
-    return PrimitivePair(
-        RealFunction(integrand, label=f"x^{n} exp(-x)", vector_fn=integrand_vec),
-        RealFunction(primitive, label=f"F_{n}", vector_fn=primitive_vec),
-        Interval(0.0, math.inf))
+    return PrimitivePair(RealFunction(integrand, label=f"x^{n} exp(-x)"),
+                         RealFunction(primitive, label=f"F_{n}"),
+                         Interval(0.0, math.inf))
 
 
 # ---------------------------------------------------------------------------

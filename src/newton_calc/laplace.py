@@ -136,7 +136,9 @@ def gamma_integral(n: int, mode: str = "exact_primitive") -> float:
     """n! as the Newton integral of x**n exp(-x) over (0, inf).
 
     exact_primitive evaluates the closed-form antiderivative's endpoint
-    limits (machine precision; linear space works to n = 170).  numeric
+    limits (machine precision for every n up to 170, where n! overflows;
+    F_n(+inf) is the ray limit at t = 1- of F_n(t / (1 - t)), and F_n
+    stays finite past the overflow of its Horner sum).  numeric
     builds an antiderivative on (0, n + 40 sqrt(n+1)); the discarded tail
     is bounded by 2 T**n exp(-T) and checked to be invisible.
     """

@@ -75,6 +75,12 @@ def test_gamma_exact():
     assert ",120," in text
 
 
+def test_gamma_exact_n_100():
+    code, text = run_cli("gamma", "--n", "100")
+    assert code == EXIT_OK
+    assert text.strip().endswith(",true")
+
+
 def test_sumint_log():
     code, text = run_cli("sumint", "--function-id", "log",
                          "--a", "1", "--b", "50")
@@ -174,6 +180,19 @@ def test_out_of_range_argument_exits_64(capsys, argv):
         == lines[-1:]
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("stirling --n 3 --epsilon x", "epsilon"),
+    ("integrate --function-id cos --lo x --hi 1", "bound"),
+])
+def test_bad_value_message_names_no_private_function(capsys, argv, name):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split(), out=io.StringIO())
+    err = capsys.readouterr().err
+    assert info.value.code == EXIT_USAGE
+    assert f"invalid {name} value: 'x'" in err
+    assert "_parse" not in err
+
+
 def test_fubini_special():
     code, text = run_cli("fubini", "--case", "special", "--b", "4")
     assert code == EXIT_OK
@@ -185,6 +204,15 @@ def test_fubini_counterexample():
     assert code == EXIT_OK
     row = text.strip().splitlines()[1].split(",")
     assert float(row[3]) >= 90.0  # divergence witness
+
+
+def test_fubini_counterexample_past_exp_underflow():
+    # exp(-x) underflows from x = 745.13 on; the ridge excess there is 0
+    X = 800.0
+    code, text = run_cli("fubini", "--case", "counterexample", "--X", str(X))
+    assert code == EXIT_OK
+    value_xy = float(text.strip().splitlines()[1].split(",")[2])
+    assert 1.0 - math.exp(-X) <= value_xy <= 2.0 * (1.0 - math.exp(-X))
 
 
 def test_fubini_rect():

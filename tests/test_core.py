@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_calc.core import (DEFAULT_LIMIT_CONFIG, EvaluationFailure,
-                              ExtendedReal, Interval, LimitConfig, NEG_INF,
-                              NonConvergent, POS_INF, RealFunction,
-                              chebyshev_samples, limit_at_infinity,
-                              one_sided_limit)
+from newton_calc.core import (DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG,
+                              EvaluationFailure, ExtendedReal, Interval,
+                              LimitConfig, NEG_INF, NonConvergent, POS_INF,
+                              RealFunction, chebyshev_samples,
+                              limit_at_infinity, one_sided_limit)
 
 
 def test_sin_limit_at_pi_half():
@@ -96,14 +96,48 @@ def test_arctan_limit_at_infinity():
 def test_ray_schedule_is_drawn_lazily():
     calls = []
 
-    def schedule(k):
-        calls.append(k)
-        return 2.0 ** k
+    def F(x):
+        calls.append(x)
+        return -math.exp(-x)
 
-    cfg = LimitConfig(infinity_schedule=schedule)
-    res = limit_at_infinity(lambda x: -math.exp(-x), "pos", cfg)
+    res = limit_at_infinity(F, "pos")
     assert res.converged
-    assert len(calls) <= res.steps_used
+    assert len(calls) == res.steps_used
+
+
+@pytest.mark.parametrize("F, value", [(math.atan, math.pi / 2),
+                                      (lambda x: -1.0 / x, 0.0)])
+def test_algebraic_tail_at_infinity_is_extrapolated(F, value):
+    # the ray is the limit at t = 1- of F(t / (1 - t)); the Richardson
+    # columns in 1 - t = 1 / (1 + x) cancel the 1/x and 1/x^2 terms of
+    # these tails, which the raw values only shed one step at a time
+    res = limit_at_infinity(F, "pos", PRECISE_LIMIT_CONFIG)
+    assert res.converged and res.steps_used <= 12
+    assert abs(res.value - value) <= 1e-15
+
+
+@given(st.sampled_from(["pos", "neg"]),
+       st.sampled_from([math.sin, math.atan, math.tanh, abs,
+                        lambda u: math.exp(-u * u)]),
+       st.floats(1e-6, 1e6))
+@settings(max_examples=60, deadline=None)
+def test_ray_never_evaluates_infinity(sign, g, scale):
+    # t = 1 would divide by zero and end in EvaluationFailure; every x
+    # is finite and no farther out than 2^53, where 1 - t reaches the
+    # spacing of the floats just below 1
+    seen = []
+
+    def F(x):
+        seen.append(x)
+        return g(scale * x)
+
+    try:
+        limit_at_infinity(F, sign)
+    except NonConvergent:
+        pass
+    assert seen and all(math.isfinite(x) and abs(x) <= 2.0 ** 53
+                        for x in seen)
+    assert all((x > 0) == (sign == "pos") for x in seen)
 
 
 def test_linear_growth_raises():

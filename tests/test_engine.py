@@ -129,6 +129,14 @@ def test_hake_finite_default_schedule_is_extrapolated():
     assert abs(rep.rhs - (math.sin(2.1) - math.sin(0.3))) <= 1e-12
 
 
+def test_infinite_domain_reports_use_the_identity_tolerance():
+    # a ray's limit comes from the finite-endpoint kernel, so an infinite
+    # domain gets no extra slack
+    rep = hake_check(EXP_PAIR)
+    assert rep.holds and rep.tolerance == 1e-8
+    assert rep.residual <= 1e-14
+
+
 def test_hake_point_outside_domain():
     with pytest.raises(SplitPointOutsideInterval):
         hake_check(EXP_PAIR, truncation_schedule=[1.0, -1.0, 2.0])

@@ -23,7 +23,9 @@ def test_gamma_zero_and_five():
 
 
 def test_gamma_exact_matches_product():
-    for n in range(0, 21):
+    # every n up to 170: F_n(1) = F_n(2) = F_n(4) = -n! in binary64, and
+    # from n = 79 the Horner sum of F_n overflows
+    for n in range(0, 171):
         assert gamma_integral(n) == pytest.approx(math.factorial(n),
                                                   rel=1e-12), n
 

@@ -9,11 +9,11 @@ routes with quantified error terms.
 """
 
 from .core import (DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG, EvaluationFailure,
-                   ExtendedReal, Interval, LimitConfig, LimitResult,
-                   NEG_INF, NewtonCalcError, NonConvergent, POS_INF,
-                   RealFunction, limit_at_infinity, one_sided_limit)
+                   Interval, LimitConfig, LimitResult, NewtonCalcError,
+                   NonConvergent, RealFunction, limit_at_infinity,
+                   one_sided_limit)
 from .builder import (BuildConfig, PiecewisePrimitive, RefinementExhausted,
-                      build_primitive, derivative_check)
+                      build_primitive, derivative_check, ray_integral)
 from .engine import (IdentityReport, IntegralResult, PrimitivePair,
                      hake_check, integrate_by_parts, linear_combine,
                      ml_bound_check, monotone_compare, newton_integral,

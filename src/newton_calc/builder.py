@@ -1,4 +1,4 @@
-"""Constructive antiderivatives for continuous functions on compact intervals.
+"""Constructive antiderivatives on compact intervals, and integrals on rays.
 
 The construction mirrors the classical limit argument: interpolate the
 integrand continuously on a uniform mesh, integrate the interpolant piece by
@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (EvaluationFailure, Interval, NewtonCalcError, RealFunction,
-                   as_interval, real_function)
+                   as_interval, one_sided_limit, real_function)
 
 __all__ = [
     "BuildConfig",
@@ -38,6 +38,7 @@ __all__ = [
     "RefinementExhausted",
     "OutOfDomain",
     "build_primitive",
+    "ray_integral",
     "derivative_check",
     "to_json_dict",
     "from_json_dict",
@@ -236,7 +237,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     iv = as_interval(domain)
     if not iv.is_finite:
         raise ValueError("build_primitive needs a finite interval; integrate "
-                         "over rays by truncation with a tail limit instead")
+                         "over a ray (a, inf) with ray_integral instead")
     a, b = iv.a, iv.b
     target = cfg.target_uniform_gap * (b - a)
     probe = np.linspace(a, b, cfg.probe_grid)
@@ -265,6 +266,40 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
         f"no Cauchy stall for {f.label or '<unnamed>'} on [{a}, {b}] within "
         f"{cfg.max_refinement} refinements (last gap {history[-1]:.3e}, "
         f"target {target:.3e})")
+
+
+def ray_integral(f: Union[RealFunction, Callable[[float], float]],
+                 a: float, s: float, cfg: BuildConfig) -> float:
+    """Integral of a continuous f over the ray (a, inf).
+
+    x = a + s t / (1 - t) maps [0, 1) onto [a, inf): the value at 1 of the
+    primitive of g(t) = f(x) s / (1 - t)**2 built on [0, 1] with cfg (so
+    its gap target is absolute).  g(1) is g's limit at t = 1-, so f only
+    sees finite x; without that limit (f ~ 1/x) NonConvergent is raised.
+    s > 0 is the width of f's mass beyond a, which x = a + s (t = 1/2)
+    splits, so the mass spreads over [0, 1].
+    """
+    f = real_function(f)
+    if not (math.isfinite(a) and 0.0 < s < math.inf):
+        raise ValueError("ray_integral needs a finite a and 0 < s < inf")
+
+    def scalar(t: float) -> float:
+        u = 1.0 - t
+        return f(a + s * t / u) * s / (u * u)
+
+    at_one = one_sided_limit(scalar, 1.0, "left").value
+
+    def vector(ts: np.ndarray) -> np.ndarray:
+        out = np.full(ts.shape, at_one)
+        inner = ts < 1.0
+        t = ts[inner]
+        u = 1.0 - t
+        out[inner] = f.many(a + s * t / u) * s / (u * u)
+        return out
+
+    g = RealFunction(scalar, label=f"{f.label or '<unnamed>'} on ({a}, inf)",
+                     vector_fn=vector)
+    return float(build_primitive(g, (0.0, 1.0), cfg).evaluate(1.0))
 
 
 def derivative_check(P: PiecewisePrimitive,

@@ -54,10 +54,14 @@ SCHEMA_VERSIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code this tool promises."""
+    """argparse with the usage-error exit code and the one-line diagnostic
+    this tool promises (-h prints the usage)."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
+        if message.endswith("expected one argument"):
+            # argparse reads a value such as -inf as an option
+            message += ("; a value starting with '-' needs the "
+                        "--option=VALUE form, such as --lo=-inf")
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -379,8 +383,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("integrate", help="Newton integral of a registry function")
     p.add_argument("--function-id", required=True)
-    p.add_argument("--lo", type=_parse_bound, required=True)
-    p.add_argument("--hi", type=_parse_bound, required=True)
+    p.add_argument("--lo", type=_parse_bound, required=True,
+                   help="lower endpoint, -inf written as --lo=-inf")
+    p.add_argument("--hi", type=_parse_bound, required=True,
+                   help="upper endpoint, a negative one as --hi=-1")
     p.add_argument("--cache-dir", default=None,
                    help="directory for built-antiderivative cache blobs")
     add_format(p)

@@ -1,10 +1,11 @@
-"""Extended reals, intervals, function wrappers, and numerical limits.
+"""Intervals, function wrappers, and numerical limits.
 
 Nothing in this package ever partitions an interval to integrate: every
 integral is the difference of two endpoint limits of an antiderivative.
 This module supplies those limits, all from one kernel.  A finite
-endpoint c is approached at offsets 0.1 / 4**k; an infinite one is the
-same one-sided limit at t = 1- of G(t) = F(+-t / (1 - t)), the
+endpoint c is approached at offsets 0.1 / 4**k (in an integral, from at
+most half the interval's length, so no point leaves it); an infinite one
+is the same one-sided limit at t = 1- of G(t) = F(+-t / (1 - t)), the
 substitution rule applied to the limit, so a ray has no schedule of its
 own.  A limit counts as found only after three consecutive steps move
 the value by no more than the stall tolerance (a single small delta is
@@ -34,9 +35,6 @@ __all__ = [
     "NonConvergent",
     "EvaluationFailure",
     "DecayViolation",
-    "ExtendedReal",
-    "NEG_INF",
-    "POS_INF",
     "Interval",
     "RealFunction",
     "real_function",
@@ -78,89 +76,40 @@ class DecayViolation(NewtonCalcError):
 
 
 # ---------------------------------------------------------------------------
-# extended reals and intervals
+# intervals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExtendedReal:
-    """A point of the two-point compactification of the real line.
+class Interval:
+    """An open interval (lo, hi), lo < hi, with float endpoints.
 
-    Finite values must not be NaN; +inf and -inf are the two ideal points.
-    Ordering is inherited from IEEE floats, which already places
-    -inf < finite < +inf.
+    Either endpoint may be infinite: IEEE floats already order
+    -inf < finite < +inf.  NaN is rejected.
     """
 
-    value: float
+    lo: float
+    hi: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if math.isnan(v):
-            raise ValueError("ExtendedReal cannot hold NaN")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def tag(self) -> str:
-        if self.value == math.inf:
-            return "pos_infinity"
-        if self.value == -math.inf:
-            return "neg_infinity"
-        return "finite"
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __lt__(self, other: "ExtendedReal") -> bool:
-        return self.value < _as_extended(other).value
-
-    def __le__(self, other: "ExtendedReal") -> bool:
-        return self.value <= _as_extended(other).value
-
-    def __gt__(self, other: "ExtendedReal") -> bool:
-        return self.value > _as_extended(other).value
-
-    def __ge__(self, other: "ExtendedReal") -> bool:
-        return self.value >= _as_extended(other).value
-
-
-NEG_INF = ExtendedReal(-math.inf)
-POS_INF = ExtendedReal(math.inf)
-
-
-def _as_extended(x: Union[ExtendedReal, float, int]) -> ExtendedReal:
-    if isinstance(x, ExtendedReal):
-        return x
-    return ExtendedReal(float(x))
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An open interval (lo, hi) with extended-real endpoints, lo < hi."""
-
-    lo: ExtendedReal
-    hi: ExtendedReal
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _as_extended(self.lo))
-        object.__setattr__(self, "hi", _as_extended(self.hi))
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError("interval endpoints cannot be NaN")
         if not self.lo < self.hi:
             raise ValueError(f"interval endpoints must satisfy lo < hi, got "
-                             f"({self.lo.value}, {self.hi.value})")
+                             f"({self.lo}, {self.hi})")
 
     @property
     def a(self) -> float:
-        return self.lo.value
+        return self.lo
 
     @property
     def b(self) -> float:
-        return self.hi.value
+        return self.hi
 
     @property
     def is_finite(self) -> bool:
-        return self.lo.is_finite and self.hi.is_finite
+        return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     @property
     def length(self) -> float:
@@ -178,7 +127,7 @@ def as_interval(iv: Union[Interval, Sequence[float]]) -> Interval:
     if isinstance(iv, Interval):
         return iv
     lo, hi = iv
-    return Interval(_as_extended(lo), _as_extended(hi))
+    return Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +295,9 @@ def _stalled_limit(points: Iterable[float], F: RealFunction,
 
 
 def _approach(F: Callable[[float], float], endpoint: float, sign: float,
-              cfg: LimitConfig, what: str) -> LimitResult:
-    """_stalled_limit along endpoint + sign * 0.1 / 4**k, k < max_steps."""
-    points = (endpoint + sign * (_START_OFFSET / _APPROACH_FACTOR ** k)
+              cfg: LimitConfig, what: str, start: float) -> LimitResult:
+    """_stalled_limit along endpoint + sign * start / 4**k, k < max_steps."""
+    points = (endpoint + sign * (start / _APPROACH_FACTOR ** k)
               for k in range(cfg.max_steps))
     return _stalled_limit(points, F, cfg, what, endpoint, _APPROACH_FACTOR)
 
@@ -369,7 +318,8 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     return _approach(F, endpoint, -1.0 if side == "left" else 1.0, cfg,
-                     f"one_sided_limit at {endpoint!r} ({side})")
+                     f"one_sided_limit at {endpoint!r} ({side})",
+                     _START_OFFSET)
 
 
 def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
@@ -397,7 +347,8 @@ def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
 
     return _approach(G, 1.0, -1.0, cfg,
                      f"limit_at_infinity ({sign}) as x -> 1- in "
-                     f"F({'' if sign == 'pos' else '-'}x / (1 - x))")
+                     f"F({'' if sign == 'pos' else '-'}x / (1 - x))",
+                     _START_OFFSET)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +367,8 @@ def chebyshev_samples(interval: Interval, count: int = 257) -> np.ndarray:
         mid = 0.5 * (iv.a + iv.b)
         half = 0.5 * (iv.b - iv.a)
         return mid + half * t
-    if iv.lo.is_finite:          # (a, +inf)
+    if math.isfinite(iv.a):      # (a, +inf)
         return iv.a + (1.0 + t) / (1.0 - t)
-    if iv.hi.is_finite:          # (-inf, b)
+    if math.isfinite(iv.b):      # (-inf, b)
         return iv.b - (1.0 - t) / (1.0 + t)
     return t / (1.0 - t * t)     # whole line

@@ -23,9 +23,9 @@ import numpy as np
 
 from .builder import PiecewisePrimitive
 from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig, LimitResult,
-                   NewtonCalcError, RealFunction, _stalled_limit, as_interval,
-                   chebyshev_samples, limit_at_infinity, one_sided_limit,
-                   real_function)
+                   NewtonCalcError, RealFunction, _START_OFFSET, _approach,
+                   _stalled_limit, as_interval, chebyshev_samples,
+                   limit_at_infinity, real_function)
 
 __all__ = [
     "PrimitivePair",
@@ -166,15 +166,23 @@ class IdentityReport:
 # the integral itself
 # ---------------------------------------------------------------------------
 
-def _endpoint_limit(F: RealFunction, endpoint: float, which: str,
+def _endpoint_limit(F: RealFunction, iv: Interval, which: str,
                     cfg: LimitConfig) -> LimitResult:
+    """F's limit at iv's lower or upper end, from inside iv: a finite
+    end's schedule starts at most half iv's length away, and a ray's runs
+    outward from the other end, or from 0 when that end lies beyond it."""
+    start = min(_START_OFFSET, 0.5 * iv.length)
     if which == "lower":
-        if math.isinf(endpoint):
-            return limit_at_infinity(F, "neg", cfg)
-        return one_sided_limit(F, endpoint, "right", cfg)
-    if math.isinf(endpoint):
-        return limit_at_infinity(F, "pos", cfg)
-    return one_sided_limit(F, endpoint, "left", cfg)
+        if math.isinf(iv.a):
+            base = min(iv.b, 0.0)
+            return limit_at_infinity(lambda x: F(base + x), "neg", cfg)
+        return _approach(F, iv.a, 1.0, cfg,
+                         f"one_sided_limit at {iv.a!r} (right)", start)
+    if math.isinf(iv.b):
+        base = max(iv.a, 0.0)
+        return limit_at_infinity(lambda x: F(base + x), "pos", cfg)
+    return _approach(F, iv.b, -1.0, cfg,
+                     f"one_sided_limit at {iv.b!r} (left)", start)
 
 
 def newton_integral(pair: PrimitivePair,
@@ -186,8 +194,8 @@ def newton_integral(pair: PrimitivePair,
     exact negation of the forward value.  A NonConvergent endpoint limit
     means the integral is undefined for this antiderivative and schedule.
     """
-    lower = _endpoint_limit(pair.primitive, pair.domain.a, "lower", cfg)
-    upper = _endpoint_limit(pair.primitive, pair.domain.b, "upper", cfg)
+    lower = _endpoint_limit(pair.primitive, pair.domain, "lower", cfg)
+    upper = _endpoint_limit(pair.primitive, pair.domain, "upper", cfg)
     value = upper.value - lower.value
     if reverse:
         value = -value
@@ -383,8 +391,8 @@ def integrate_by_parts(F: Union[RealFunction, Callable[[float], float]],
 
     lhs = newton_integral(PrimitivePair(RealFunction(fG), fG_primitive, iv),
                           cfg).value
-    boundary_hi = _endpoint_limit(RealFunction(FG), iv.b, "upper", cfg)
-    boundary_lo = _endpoint_limit(RealFunction(FG), iv.a, "lower", cfg)
+    boundary_hi = _endpoint_limit(RealFunction(FG), iv, "upper", cfg)
+    boundary_lo = _endpoint_limit(RealFunction(FG), iv, "lower", cfg)
     rhs_integral = newton_integral(
         PrimitivePair(RealFunction(Fg), Fg_primitive, iv), cfg).value
     rhs = (boundary_hi.value - boundary_lo.value) - rhs_integral

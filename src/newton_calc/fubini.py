@@ -2,8 +2,9 @@
 
 Four pieces: the rectangle theorem (both iteration orders agree for a
 continuous integrand on a compact rectangle), the special infinite case
-f(x, z) = x * exp(-x**2 * (1 + z**2)) with explicit truncation tail bounds,
-a decay-bounded infinite theorem (|f| <= c * max(x, y)**-3 outside the unit
+f(x, z) = x * exp(-x**2 * (1 + z**2)) with explicit truncation tail bounds
+(the half-line Gaussian in them is built whole, by ``ray_integral``), a
+decay-bounded infinite theorem (|f| <= c * max(x, y)**-3 outside the unit
 box), and an explicit family witnessing that the two orders need not both
 exist over infinite rectangles.
 
@@ -25,9 +26,9 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .builder import (BuildConfig, RefinementExhausted, _dyadic_levels,
-                      _stalled, build_primitive)
+                      _stalled, build_primitive, ray_integral)
 from .core import DecayViolation, Interval, RealFunction, as_interval
-from .engine import PrimitivePair, newton_integral, pair_from_primitive
+from .engine import PrimitivePair, newton_integral
 
 __all__ = [
     "BivariateFunction",
@@ -45,7 +46,7 @@ __all__ = [
     "tail_constants",
     "bound_A_at",
     "bound_B_at",
-    "gaussian_half_line_truncated",
+    "gaussian_half_line_built",
 ]
 
 
@@ -253,23 +254,17 @@ def special_integrand() -> BivariateFunction:
         vector_fn=lambda xs, zs: xs * np.exp(-xs * xs * (1.0 + zs * zs)))
 
 
-_GAUSS_TRUNCATION = 10.0  # exp(-x^2) <= exp(-10x) beyond; tail < exp(-100)/10
-
-
 @lru_cache(maxsize=None)
-def gaussian_half_line_truncated() -> float:
+def gaussian_half_line_built() -> float:
     """Half-line integral of exp(-x^2) via a built antiderivative.
 
-    Truncated at x = 10; the discarded tail is below exp(-100)/10, far
-    under every tolerance used here.
+    The whole ray (0, inf) is built by ray_integral at exp(-x^2)'s width
+    s = 1, so no tail is discarded.
     """
-    cfg = BuildConfig(target_uniform_gap=1e-10)
-    P = build_primitive(
+    return ray_integral(
         RealFunction(lambda x: math.exp(-x * x), label="exp(-x^2)",
                      vector_fn=lambda xs: np.exp(-xs * xs)),
-        (0.0, _GAUSS_TRUNCATION), cfg)
-    pair = pair_from_primitive(P, lambda x: math.exp(-x * x))
-    return newton_integral(pair).value
+        0.0, 1.0, BuildConfig(target_uniform_gap=1e-10))
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -300,7 +295,7 @@ def tail_constants() -> Tuple[float, float, float, float]:
     log grid on [1, 1e4]; the inner profile comes from the closed-form
     antiderivative -exp(-x^2 (1+z^2)) / (2 (1+z^2)).
     """
-    c = gaussian_half_line_truncated()
+    c = gaussian_half_line_built()
     c0 = _golden_max(lambda x: x ** 3 * math.exp(-x * x), 1.0, 6.0)
     c1 = _golden_max(lambda x: x * math.exp(-x * x), 0.0, 4.0)
 

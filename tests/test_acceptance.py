@@ -283,7 +283,7 @@ def test_criterion_11_property_suites():
     additivity = 0.0
     for pair in battery:
         lo = pair.domain.a
-        hi = pair.domain.b if pair.domain.hi.is_finite else lo + 20.0
+        hi = pair.domain.b if math.isfinite(pair.domain.b) else lo + 20.0
         for c in rng.uniform(lo + 1e-3, hi - 1e-3, 100):
             _l, _r, rep = split_additive(pair, float(c), PRECISE_LIMIT_CONFIG)
             additivity = max(additivity, rep.residual)

@@ -6,9 +6,9 @@ import pytest
 from newton_calc.builder import (BuildConfig, OutOfDomain,
                                  RefinementExhausted, build_primitive,
                                  derivative_check, dumps, from_json_dict,
-                                 loads, to_json_dict)
+                                 loads, ray_integral, to_json_dict)
 from newton_calc.core import (PRECISE_LIMIT_CONFIG, EvaluationFailure,
-                              RealFunction)
+                              NonConvergent, RealFunction)
 from newton_calc.engine import newton_integral, pair_from_primitive
 from newton_calc.fubini import BivariateFunction, iterated_rectangle
 
@@ -166,8 +166,55 @@ def test_non_finite_integrand_raises_evaluation_failure(integrate, label):
 
 
 def test_infinite_interval_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ray_integral"):
         build_primitive(COS, (0.0, math.inf))
+
+
+def _spy(fn, vector, seen):
+    """fn as a RealFunction that fails the test on any non-finite x and
+    records every x it is given."""
+
+    def scalar(x):
+        assert math.isfinite(x), x
+        seen.append(x)
+        return fn(x)
+
+    def many(xs):
+        assert np.isfinite(xs).all(), xs
+        seen.extend(xs.ravel().tolist())
+        return vector(xs)
+
+    return RealFunction(scalar, label="spy", vector_fn=many)
+
+
+@pytest.mark.parametrize("fn, vector, a, exact", [
+    (lambda x: 1.0 / (1.0 + x * x), lambda xs: 1.0 / (1.0 + xs * xs),
+     0.0, math.pi / 2),
+    (lambda x: x ** -2.0, lambda xs: xs ** -2.0, 1.0, 1.0),
+    (lambda x: math.exp(-x), lambda xs: np.exp(-xs), -2.0, math.e ** 2),
+    (lambda x: math.exp(-x * x), lambda xs: np.exp(-xs * xs),
+     0.0, math.sqrt(math.pi) / 2),
+], ids=["inverse-quadratic", "inverse-square", "exp-neg", "exp-neg-square"])
+def test_ray_integral_matches_closed_form(fn, vector, a, exact):
+    seen = []
+    value = ray_integral(_spy(fn, vector, seen), a, 1.0, BuildConfig())
+    assert abs(value - exact) <= 1e-10 * exact
+    # the ray is visited from a itself out to the limit's points at t = 1-
+    # (a + 9, a + 39, a + 159, ...), past any fixed cut-off such as 10
+    assert min(seen) == a and max(seen) > 1e3
+
+
+def test_ray_without_an_integral_has_no_value():
+    # 1/x on (1, inf): g(t) = 1 / (1 - t) has no limit at t = 1
+    with pytest.raises(NonConvergent):
+        ray_integral(lambda x: 1.0 / x, 1.0, 1.0, BuildConfig())
+
+
+@pytest.mark.parametrize("a, s", [(math.inf, 1.0), (math.nan, 1.0),
+                                  (0.0, 0.0), (0.0, -1.0), (0.0, math.inf)])
+def test_ray_integral_rejects_bad_arguments(a, s):
+    with pytest.raises(ValueError):
+        ray_integral(COS, a, s, BuildConfig())
 
 
 def test_serialization_roundtrip_is_exact():

@@ -158,7 +158,7 @@ def test_usage_error_exits_64(capsys):
 @pytest.mark.parametrize("argv", [
     "integrate --function-id cos --lo 1 --hi 0",
     "gamma --n -1",
-    "gamma --n 101 --mode numeric",
+    "gamma --n 169 --mode numeric",
     "stirling --n 0",
     "fubini --case special --b 0.5",
     "fubini --case counterexample --X 0.5",
@@ -271,3 +271,23 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == EXIT_OK
     assert ",720," in proc.stdout
+
+
+def test_negative_infinite_bound_in_equals_form():
+    code, text = run_cli("integrate", "--function-id", "inverse-quadratic",
+                         "--lo=-inf", "--hi", "inf")
+    assert code == EXIT_OK
+    assert text.splitlines()[1].split(",")[3] == "3.14159265358979"
+
+
+def test_negative_bound_as_separate_token_is_one_line_usage_error(capsys):
+    # argparse takes "-inf" for an option; the one stderr line says how to
+    # write it instead
+    with pytest.raises(SystemExit) as info:
+        main("integrate --function-id inverse-quadratic --lo -inf "
+             "--hi inf".split(), out=io.StringIO())
+    err = capsys.readouterr().err
+    assert info.value.code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert "--lo=-inf" in err

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_calc.core import (DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG,
-                              EvaluationFailure, ExtendedReal, Interval,
-                              LimitConfig, NEG_INF, NonConvergent, POS_INF,
-                              RealFunction, chebyshev_samples,
+                              EvaluationFailure, Interval, LimitConfig,
+                              NonConvergent, RealFunction, chebyshev_samples,
                               limit_at_infinity, one_sided_limit)
+from newton_calc.engine import PrimitivePair, newton_integral
 
 
 def test_sin_limit_at_pi_half():
@@ -56,6 +56,70 @@ def test_endpoint_is_never_evaluated(e, sign, side):
     else:
         assert abs(res.value - math.sin(c)) <= 1e-13
     assert c not in seen
+
+
+_SIGNED_MAGNITUDE = st.builds(lambda e, sign: sign * 10.0 ** e,
+                              st.integers(-300, 300),
+                              st.sampled_from([1.0, -1.0]))
+
+
+def _spied_sine(lo, hi, seen):
+    """cos with the primitive sin on (lo, hi); F records every x."""
+
+    def F(x):
+        seen.append(x)
+        return math.sin(x)
+
+    return PrimitivePair(RealFunction(math.cos), RealFunction(F),
+                         Interval(lo, hi))
+
+
+@given(_SIGNED_MAGNITUDE, _SIGNED_MAGNITUDE, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_endpoint_is_never_evaluated_by_a_whole_integral(p, q, reverse):
+    # newton_integral takes both endpoint limits; neither schedule may
+    # pass either endpoint to F, whatever the magnitudes and orientation
+    if p == q:
+        return
+    lo, hi = min(p, q), max(p, q)
+    seen = []
+    try:
+        res = newton_integral(_spied_sine(lo, hi, seen), reverse=reverse)
+    except NonConvergent:
+        assert max(abs(lo), abs(hi)) > 1e10
+    else:
+        exact = math.sin(hi) - math.sin(lo)
+        assert abs(res.value - (-exact if reverse else exact)) <= 2e-13
+    assert lo not in seen and hi not in seen
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e-18, 0.1), (-0.1, -1e-18),
+                                    (0.05, 0.1)])
+def test_short_interval_schedules_stay_inside(lo, hi):
+    # from 0.1 away, the first point of one end's schedule is (or passes)
+    # the other end when hi - lo <= 0.1
+    seen = []
+    res = newton_integral(_spied_sine(lo, hi, seen))
+    assert abs(res.value - (math.sin(hi) - math.sin(lo))) <= 2e-13
+    assert all(lo < x < hi for x in seen)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ray_schedule_starts_inside_the_interval(sign):
+    # on (100, inf) a ray from 0 would evaluate F at 9; this F is defined
+    # only beyond 50 (and mirrored for (-inf, -100))
+    seen = []
+
+    def F(x):
+        seen.append(x)
+        return math.sqrt(sign * x - 50.0) * 0.0 - sign / (sign * x - 50.0)
+
+    iv = Interval(100.0, math.inf) if sign > 0 else Interval(-math.inf,
+                                                              -100.0)
+    pair = PrimitivePair(RealFunction(lambda x: (sign * x - 50.0) ** -2.0),
+                         RealFunction(F), iv)
+    assert abs(newton_integral(pair).value - 0.02) <= 1e-15
+    assert all(iv.contains(x) for x in seen)
 
 
 @pytest.mark.parametrize("c", [1e7, -1e9, 1e10])
@@ -185,18 +249,22 @@ def test_purity_bit_for_bit():
     assert va.value == vb.value and va.steps_used == vb.steps_used
 
 
-def test_extended_real_rejects_nan():
-    with pytest.raises(ValueError):
-        ExtendedReal(float("nan"))
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
+                                    (math.nan, math.nan),
+                                    (-math.inf, math.nan)])
+def test_interval_rejects_nan(lo, hi):
+    with pytest.raises(ValueError, match="NaN"):
+        Interval(lo, hi)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=50, deadline=None)
-def test_extended_real_ordering(x):
-    v = ExtendedReal(x)
-    assert NEG_INF < v < POS_INF
-    assert v.tag == "finite"
-    assert NEG_INF.tag == "neg_infinity" and POS_INF.tag == "pos_infinity"
+def test_interval_endpoints_are_ordered_floats(x):
+    # IEEE order places -inf < finite < +inf, so both rays are intervals
+    left, right = Interval(-math.inf, x), Interval(x, math.inf)
+    assert left.hi == right.lo == x and left.lo < x < right.hi
+    assert not left.is_finite and not right.is_finite
+    assert Interval(-math.inf, math.inf).contains(x)
 
 
 def test_interval_invariant():

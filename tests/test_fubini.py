@@ -12,7 +12,7 @@ from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
                                 counterexample_family,
                                 counterexample_section_integral,
                                 decay_bounded_fubini,
-                                gaussian_half_line_truncated,
+                                gaussian_half_line_built,
                                 inner_integral_function, iterated_rectangle,
                                 special_infinite_fubini, special_integrand,
                                 tail_constants)
@@ -174,7 +174,7 @@ def test_tail_certificate_soundness(b):
 
 def test_tail_constants_are_the_stated_maxima():
     c, c0, c1, c2 = tail_constants()
-    assert abs(c - gaussian_half_line_truncated()) == 0.0
+    assert abs(c - gaussian_half_line_built()) == 0.0
     # closed-form maximizers: x^3 exp(-x^2) peaks at sqrt(3/2),
     # x exp(-x^2) at sqrt(1/2)
     assert c0 == pytest.approx(1.5 ** 1.5 * math.exp(-1.5), rel=1e-9)

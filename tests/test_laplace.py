@@ -35,6 +35,16 @@ def test_gamma_numeric_twelve():
     assert abs(v - 479001600.0) / 479001600.0 <= 1e-6
 
 
+def test_gamma_numeric_builds_the_whole_ray_up_to_168():
+    # the ray is built whole, so no truncation point limits n; x**n is
+    # taken as exp(n log x - x), and 169 overflows the built cubic
+    for n in list(range(0, 13)) + [100, 101, 150, 168]:
+        assert gamma_integral(n, "numeric") == pytest.approx(
+            math.factorial(n), rel=1e-10), n
+    with pytest.raises(ValueError, match="168"):
+        gamma_integral(169, "numeric")
+
+
 def test_gamma_overflow_carries_log_value():
     with pytest.raises(GammaOverflow) as info:
         gamma_integral(171)

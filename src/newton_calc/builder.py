@@ -231,7 +231,8 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     The nodes come from the shared dyadic kernel, so the total cost is
     that of the finest mesh.  Raises RefinementExhausted when the
     probe-grid Cauchy criterion is not met within cfg.max_refinement
-    levels, and EvaluationFailure when f is not finite at a node.
+    levels, and EvaluationFailure when f is not finite at a node or a
+    level's primitive overflows.
     """
     f = real_function(f)
     iv = as_interval(domain)
@@ -256,6 +257,12 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
         probe_cur = current.many(probe)
         if level > 0:
             gap = float(np.max(np.abs(probe_cur - probe_prev)))
+            if not math.isfinite(gap):
+                # overflowing coefficients stay non-finite on finer meshes
+                raise EvaluationFailure(
+                    f"primitive of {f.label or '<unnamed>'} on [{a}, {b}] "
+                    f"is not finite at level {level} (last finite gap "
+                    f"{history[-1] if history else None})")
             history = history + (gap,)
             if _stalled(history, target, 2, cfg.min_refinement):
                 return replace(current, cauchy_delta=gap,

@@ -165,6 +165,19 @@ def test_non_finite_integrand_raises_evaluation_failure(integrate, label):
     assert "0.5" in str(info.value)
 
 
+def test_overflowing_primitive_stops_at_the_first_non_finite_gap():
+    seen = []
+    big_cos = _spy(lambda x: 1.5e308 * math.cos(40.0 * x),
+                   lambda xs: 1.5e308 * np.cos(40.0 * xs), seen)
+    # the coefficients overflow by design; the warnings are not the subject
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationFailure,
+                           match=r"spy .* level \d+ \(last finite gap"):
+            build_primitive(big_cos, (0.0, 1.0))
+    # a build that ran on to max_refinement would take 2**22 + 1 nodes
+    assert len(seen) <= 2 ** 4 + 1
+
+
 def test_infinite_interval_rejected():
     with pytest.raises(ValueError, match="ray_integral"):
         build_primitive(COS, (0.0, math.inf))

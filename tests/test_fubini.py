@@ -7,6 +7,7 @@ from newton_calc.builder import BuildConfig
 from newton_calc.core import DecayViolation, Interval
 from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
                                 BivariateFunction, _inner_values,
+                                _ridge_excess,
                                 asymmetry_counterexample,
                                 bound_A_at, bound_B_at,
                                 counterexample_family,
@@ -19,7 +20,8 @@ from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
 from newton_calc.functions import BIVARIATE_REGISTRY
 
 from oracles import (EXP_NEG_SQUARE_SQUARED, exp_neg_square_series_01,
-                     quarter_plane_inv_quartic_midpoint)
+                     quarter_plane_inv_quartic_midpoint,
+                     ridge_excess_by_bisection, special_truncated_midpoint)
 
 TIGHT = BuildConfig(target_uniform_gap=1e-8, max_refinement=22,
                     probe_grid=257, min_refinement=6)
@@ -163,6 +165,16 @@ def test_special_truncation_gap_follows_sqrt_law():
     assert 0.15 <= g16 / g4 <= 0.75
 
 
+@pytest.mark.parametrize("b", [4.0, 8.0, 16.0])
+def test_special_orders_match_the_truncated_reference(b):
+    # the steep e^(-b^2 z^2) inner profile needs the inner floor of 8
+    # levels: at 6, b = 16 is off by 2.5 %
+    ref = special_truncated_midpoint(b)
+    rep = special_infinite_fubini(b)
+    for value in (rep.value_xy, rep.value_yx):
+        assert abs(value - ref) <= 1e-4 * ref
+
+
 @pytest.mark.parametrize("b", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 def test_tail_certificate_soundness(b):
     rep = special_infinite_fubini(b)
@@ -267,6 +279,15 @@ def test_counterexample_off_peak_section_is_finite():
     assert abs(v - math.exp(-2.0)) <= 1e-6
     # the ridge contributes ~ exp(-x) per section width, all sections finite
     assert counterexample_section_integral(0.5) < 2.0
+
+
+def test_ridge_excess_matches_scalar_bisection():
+    xs = np.concatenate([np.linspace(0.0, 800.0, 2001),
+                         [0.0, 700.0, 745.0, 746.0, 1e4]])
+    values = _ridge_excess(xs)
+    assert np.isfinite(values).all()
+    for x, value in zip(xs, values):
+        assert abs(value - ridge_excess_by_bisection(x)) <= 1e-15, x
 
 
 def test_counterexample_inner_matches_direct_build():

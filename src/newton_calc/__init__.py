@@ -6,30 +6,60 @@ classical manipulation rules numerically, iterates integrals in two
 variables with explicit truncation certificates, and reproduces the
 factorial asymptotics n! ~ sqrt(2 pi n) (n/e)^n along two independent
 routes with quantified error terms.
+
+The namespace is lazy (PEP 562): ``import newton_calc`` loads neither numpy
+nor any submodule, and each name below is imported from its module on
+first use.
 """
 
-from .core import (DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG, EvaluationFailure,
-                   Interval, LimitConfig, LimitResult, NewtonCalcError,
-                   NonConvergent, RealFunction, limit_at_infinity,
-                   one_sided_limit)
-from .builder import (BuildConfig, PiecewisePrimitive, RefinementExhausted,
-                      build_primitive, derivative_check, ray_integral)
-from .engine import (IdentityReport, IntegralResult, PrimitivePair,
-                     hake_check, integrate_by_parts, linear_combine,
-                     ml_bound_check, monotone_compare, newton_integral,
-                     pair_from_primitive, split_additive, substitute)
-from .fubini import (BivariateFunction, IteratedIntegralReport, TailBound,
-                     asymmetry_counterexample, decay_bounded_fubini,
-                     iterated_rectangle, special_infinite_fubini)
-from .sums import (AsymptoticRecord, SumIntegralReport, TailConstantReport,
-                   incomplete_stirling, log_factorial,
-                   log_factorial_first_expression, log_strip_remainder,
-                   monotone_sum_vs_integral, tail_constant)
-from .wallis import (WallisValue, determine_stirling_constant,
-                     ratio_bounds_check, wallis_closed_form,
-                     wallis_integral, wallis_recurrence)
-from .laplace import (ConcentrationBudget, LaplaceConfig, concentrate,
-                      gamma_integral, gauss_integral, reduce_to_gauss,
-                      stirling_via_laplace)
+import importlib
 
+_EXPORTS = {
+    "core": ("DEFAULT_LIMIT_CONFIG", "PRECISE_LIMIT_CONFIG",
+             "EvaluationFailure", "Interval", "LimitConfig", "LimitResult",
+             "NewtonCalcError", "NonConvergent", "RealFunction",
+             "limit_at_infinity", "one_sided_limit"),
+    "builder": ("BuildConfig", "PiecewisePrimitive", "RefinementExhausted",
+                "build_primitive", "derivative_check", "ray_integral"),
+    "engine": ("IdentityReport", "IntegralResult", "PrimitivePair",
+               "hake_check", "integrate_by_parts", "linear_combine",
+               "ml_bound_check", "monotone_compare", "newton_integral",
+               "pair_from_primitive", "split_additive", "substitute"),
+    "fubini": ("BivariateFunction", "IteratedIntegralReport", "TailBound",
+               "asymmetry_counterexample", "decay_bounded_fubini",
+               "iterated_rectangle", "special_infinite_fubini"),
+    "sums": ("AsymptoticRecord", "SumIntegralReport", "TailConstantReport",
+             "incomplete_stirling", "log_factorial",
+             "log_factorial_first_expression", "log_strip_remainder",
+             "monotone_sum_vs_integral", "tail_constant"),
+    "wallis": ("WallisValue", "determine_stirling_constant",
+               "ratio_bounds_check", "wallis_closed_form", "wallis_integral",
+               "wallis_recurrence"),
+    "laplace": ("ConcentrationBudget", "LaplaceConfig", "concentrate",
+                "gamma_integral", "gauss_integral", "reduce_to_gauss",
+                "stirling_via_laplace"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+# the library's modules, reachable as attributes (newton_calc.fubini); the
+# command line (cli, __main__) is imported by its full name only
+_SUBMODULES = frozenset(_EXPORTS) | {"functions"}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__),
+                        name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -244,30 +244,33 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     probe = np.linspace(a, b, cfg.probe_grid)
     history: Tuple[float, ...] = ()
 
-    for level, xs, new in _dyadic_levels(f.many, a, b, cfg.max_refinement,
-                                         f.label):
-        if level == 0:
-            vals = new
-        else:
-            merged = np.empty(len(xs), dtype=float)
-            merged[0::2] = vals
-            merged[1::2] = new
-            vals = merged
-        current = _level_from_nodes(xs, vals, level)
-        probe_cur = current.many(probe)
-        if level > 0:
-            gap = float(np.max(np.abs(probe_cur - probe_prev)))
-            if not math.isfinite(gap):
-                # overflowing coefficients stay non-finite on finer meshes
-                raise EvaluationFailure(
-                    f"primitive of {f.label or '<unnamed>'} on [{a}, {b}] "
-                    f"is not finite at level {level} (last finite gap "
-                    f"{history[-1] if history else None})")
-            history = history + (gap,)
-            if _stalled(history, target, 2, cfg.min_refinement):
-                return replace(current, cauchy_delta=gap,
-                               gap_history=history)
-        probe_prev = probe_cur
+    # overflow is reported below as a non-finite gap (non-finite node values
+    # by _dyadic_levels), not as numpy warnings escaping ahead of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for level, xs, new in _dyadic_levels(f.many, a, b, cfg.max_refinement,
+                                             f.label):
+            if level == 0:
+                vals = new
+            else:
+                merged = np.empty(len(xs), dtype=float)
+                merged[0::2] = vals
+                merged[1::2] = new
+                vals = merged
+            current = _level_from_nodes(xs, vals, level)
+            probe_cur = current.many(probe)
+            if level > 0:
+                gap = float(np.max(np.abs(probe_cur - probe_prev)))
+                if not math.isfinite(gap):
+                    # overflowing coefficients stay non-finite on finer meshes
+                    raise EvaluationFailure(
+                        f"primitive of {f.label or '<unnamed>'} on [{a}, {b}] "
+                        f"is not finite at level {level} (last finite gap "
+                        f"{history[-1] if history else None})")
+                history = history + (gap,)
+                if _stalled(history, target, 2, cfg.min_refinement):
+                    return replace(current, cauchy_delta=gap,
+                                   gap_history=history)
+            probe_prev = probe_cur
 
     raise RefinementExhausted(
         f"no Cauchy stall for {f.label or '<unnamed>'} on [{a}, {b}] within "

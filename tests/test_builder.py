@@ -169,11 +169,11 @@ def test_overflowing_primitive_stops_at_the_first_non_finite_gap():
     seen = []
     big_cos = _spy(lambda x: 1.5e308 * math.cos(40.0 * x),
                    lambda xs: 1.5e308 * np.cos(40.0 * xs), seen)
-    # the coefficients overflow by design; the warnings are not the subject
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EvaluationFailure,
-                           match=r"spy .* level \d+ \(last finite gap"):
-            build_primitive(big_cos, (0.0, 1.0))
+    # no errstate here: under filterwarnings = error a numpy overflow
+    # warning must not escape ahead of the EvaluationFailure
+    with pytest.raises(EvaluationFailure,
+                       match=r"spy .* level \d+ \(last finite gap"):
+        build_primitive(big_cos, (0.0, 1.0))
     # a build that ran on to max_refinement would take 2**22 + 1 nodes
     assert len(seen) <= 2 ** 4 + 1
 

@@ -262,15 +262,55 @@ def test_thread_pool_is_capped_at_the_row_count(monkeypatch):
     assert sizes == [3]
 
 
-def test_module_entry_point_subprocess():
+# a sitecustomize that prints OPENBLAS_NUM_THREADS as numpy is first imported
+NUMPY_IMPORT_SPY = """\
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":  # asked once: then it is in sys.modules
+            print("OPENBLAS_NUM_THREADS at numpy import:",
+                  os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+
+sys.meta_path.insert(0, Spy())
+"""
+
+
+def _run_module(tmp_path, preset):
+    """stderr of `-m newton_calc gamma --n 6` under the numpy import spy."""
+    (tmp_path / "sitecustomize.py").write_text(NUMPY_IMPORT_SPY)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tmp_path), src] + ([env["PYTHONPATH"]]
+                                if env.get("PYTHONPATH") else []))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run(
         [sys.executable, "-m", "newton_calc", "gamma", "--n", "6"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == EXIT_OK
     assert ",720," in proc.stdout
+    return proc.stderr
+
+
+def test_module_entry_point_subprocess(tmp_path):
+    # the CLI asks for one BLAS thread before numpy loads
+    assert _run_module(tmp_path, None) == \
+        "OPENBLAS_NUM_THREADS at numpy import: 1\n"
+
+
+def test_module_entry_point_keeps_a_preset_blas_thread_count(tmp_path):
+    assert _run_module(tmp_path, "2") == \
+        "OPENBLAS_NUM_THREADS at numpy import: 2\n"
+
+
+def test_console_script_takes_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"newton-calc": "newton_calc.__main__:main"}
 
 
 def test_negative_infinite_bound_in_equals_form():

@@ -4,10 +4,7 @@ Output goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Floats are printed with 15 significant digits so identical invocations
 produce byte-identical output.  Exit codes: 0 all checks passed, 2 a
 numerical check failed, 64 usage error (including unknown registry ids and
-arguments out of a function's range).
-
-NEWTON_CALC_THREADS caps the worker threads used for row computation;
-rows are always emitted in input order regardless.
+arguments out of a function's range, and an unusable --cache-dir).
 """
 
 from __future__ import annotations
@@ -18,10 +15,9 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -106,22 +102,6 @@ def _emit(command: str, columns: Sequence[str], rows: List[dict],
     out.write("".join(parts))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NEWTON_CALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn: Callable, items: Sequence) -> List:
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -131,8 +111,7 @@ def _cmd_stirling(args, out) -> int:
     columns = ["n", "method", "log_factorial_exact", "approximation",
                "abs_error", "predicted_bound", "within_bound"]
 
-    def row(task: Tuple[int, str]) -> dict:
-        n, method = task
+    def row(n: int, method: str) -> dict:
         if method == "sum":
             _d, rec = incomplete_stirling(n)
         else:
@@ -146,8 +125,7 @@ def _cmd_stirling(args, out) -> int:
             "within_bound": rec.abs_error <= rec.predicted_bound,
         }
 
-    tasks = [(n, m) for n in args.n for m in methods]
-    rows = _map_rows(row, tasks)
+    rows = [row(n, m) for n in args.n for m in methods]
     _emit("stirling", columns, rows, args.format, out)
     return EXIT_OK if all(r["within_bound"] for r in rows) else EXIT_CHECK_FAILED
 
@@ -180,7 +158,7 @@ def _cmd_wallis(args, out) -> int:
                 "max_pairwise_rel_err": worst,
                 "agree": worst <= 1e-9}
 
-    rows = _map_rows(row, list(range(args.n_max + 1)))
+    rows = [row(n) for n in range(args.n_max + 1)]
     _emit("wallis", columns, rows, args.format, out)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_CHECK_FAILED
 
@@ -242,6 +220,28 @@ _parse_bound.__name__ = "bound"
 _parse_epsilon.__name__ = "epsilon"
 
 
+def _cached_build(fn, lo: float, hi: float,
+                  cache_path: Path) -> builder.PiecewisePrimitive:
+    """build_primitive(fn, (lo, hi)) through the blob at cache_path."""
+    try:
+        return builder.loads(cache_path.read_text())
+    except (FileNotFoundError, ValueError):
+        pass  # no blob, or an unreadable one: rebuilt and rewritten
+    P = build_primitive(fn, (lo, hi))
+    cache_path.parent.mkdir(parents=True, exist_ok=True)
+    # temp file plus rename: no reader sees a partial blob
+    tmp = tempfile.NamedTemporaryFile("w", dir=cache_path.parent,
+                                      suffix=".tmp", delete=False)
+    try:
+        with tmp:
+            tmp.write(builder.dumps(P))
+        os.replace(tmp.name, cache_path)
+    except OSError:
+        os.unlink(tmp.name)
+        raise
+    return P
+
+
 def _cmd_integrate(args, out) -> int:
     nf = get_function(args.function_id)
     lo, hi = args.lo, args.hi
@@ -250,26 +250,16 @@ def _cmd_integrate(args, out) -> int:
         pair = pair_for(args.function_id, lo, hi)
         built_level = None
     elif finite:
-        cache_path = None
-        P = None
         if args.cache_dir:
             key = f"{args.function_id}_{lo!r}_{hi!r}_v{builder.SERIALIZATION_VERSION}.json"
             cache_path = Path(args.cache_dir) / key.replace("/", "_")
-            if cache_path.exists():
-                try:
-                    P = builder.loads(cache_path.read_text())
-                except ValueError:
-                    pass  # unreadable blob: a miss, rebuilt and rewritten
-        if P is None:
+            try:
+                P = _cached_build(nf.fn, lo, hi, cache_path)
+            except OSError as exc:
+                raise ValueError(f"cache path {exc.filename or cache_path}: "
+                                 f"{exc.strerror or exc}") from exc
+        else:
             P = build_primitive(nf.fn, (lo, hi))
-            if cache_path is not None:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                # temp file plus rename: no reader sees a partial blob
-                with tempfile.NamedTemporaryFile(
-                        "w", dir=cache_path.parent, suffix=".tmp",
-                        delete=False) as tmp:
-                    tmp.write(builder.dumps(P))
-                os.replace(tmp.name, cache_path)
         pair = pair_from_primitive(P, nf.fn)
         built_level = P.refinement_level
     else:
@@ -427,7 +417,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         return _HANDLERS[args.command](args, out)
     except (UnknownFunction, ValueError) as exc:
-        # a ValueError here is an argument out of a function's range
+        # a ValueError here is an argument out of a function's range or an
+        # unusable cache path
         print(f"newton-calc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NewtonCalcError as exc:

@@ -2,21 +2,19 @@
 
 Nothing in this package ever partitions an interval to integrate: every
 integral is the difference of two endpoint limits of an antiderivative.
-This module supplies those limits, all from one kernel.  A finite
-endpoint c is approached at offsets 0.1 / 4**k (in an integral, from at
-most half the interval's length, so no point leaves it); an infinite one
-is the same one-sided limit at t = 1- of G(t) = F(+-t / (1 - t)), the
-substitution rule applied to the limit, so a ray has no schedule of its
-own.  A limit counts as found only after three consecutive steps move
-the value by no more than the stall tolerance (a single small delta is
-too easy to hit by accident on an oscillating function).  The stall is
-on two Richardson columns of the values.  The columns assume the offsets
-shrink by the schedule's ratio; near an endpoint of large magnitude,
-where the points are rounded to a coarse grid, they use the actual
-offsets instead, so smooth limits are found up to |endpoint| of about
-1e10.  Schedules are drawn one point at a time and end, without a limit,
-where their points stop moving, so F is never evaluated at the endpoint
-itself (on a ray: every x is finite, at most about 9e15).
+This module supplies those limits, all from one kernel, _stalled_limit,
+with one schedule and one stall rule.  A finite endpoint is approached
+at offsets 0.1 / 4**k (in an integral, from at most half the interval's
+length, so no point leaves it; Hake's truncations from half of it); an
+infinite one is the same one-sided limit at t = 1- of
+G(t) = F(+-t / (1 - t)), so a ray has no schedule of its own.  A limit
+counts as found only after three consecutive steps move the Richardson
+extrapolate by no more than the stall tolerance (a single small delta is
+too easy to hit by accident on an oscillating function).  Near an
+endpoint of large magnitude, where the points are rounded to a coarse
+grid, the extrapolate uses the actual offsets, so smooth limits are
+found up to |endpoint| of about 1e10; on a ray every x is finite, at
+most about 9e15.
 
 All arithmetic is binary64.  Every operation here is pure given pure
 inputs, so concurrent use needs no locking.
@@ -213,93 +211,73 @@ _STALL_RUNS = 3  # consecutive small deltas required before convergence
 _START_OFFSET = 0.1
 _APPROACH_FACTOR = 4.0
 
-# Relative slack within which the ratio of two offsets counts as ``ratio``.
-# Within it the Richardson columns divide by exactly ratio - 1 and
-# ratio**2 - 1, so the extrapolate does not depend on the rounding of the
-# points; beyond it (near an endpoint of large magnitude, whose nearby
-# points lie on a coarse grid) they divide by the actual offset ratios.
-_RATIO_SLACK = 2.0 ** -26
+# Slack (2**-26 relative) within which the ratio of two offsets counts as
+# 4.  Within it the Richardson columns divide by exactly 3 and 15, so the
+# extrapolate does not depend on the rounding of the points; beyond it
+# (near an endpoint of large magnitude, whose nearby points lie on a coarse
+# grid) they divide by the actual offset ratios.
+_RATIO_SLACK = 2.0 ** -26 * _APPROACH_FACTOR
 
 
-def _stalled_limit(points: Iterable[float], F: RealFunction,
-                   cfg: LimitConfig, what: str,
-                   endpoint: Optional[float] = None,
-                   ratio: float = 0.0) -> LimitResult:
-    """Evaluate F along ``points`` until the stall rule holds.
+def _stalled_limit(F: Callable[[float], float], endpoint: float,
+                   sign: float, start: float, cfg: LimitConfig,
+                   what: str) -> LimitResult:
+    """The limit kernel: F's limit at ``endpoint`` from the side ``sign``.
 
-    Points are drawn one at a time, so a schedule is never computed past
-    the stall.  Without ``endpoint`` (only for a caller-supplied hake_check
-    truncation schedule) the stall is on the raw values.  With
-    it (the points approach that finite endpoint at offsets shrinking by
-    ``ratio``) the stall is on two Richardson columns, the values at
-    offset 0 of the lines and the quadratic through the last two and
-    three points (Neville's scheme): with q the ratio of two offsets,
+    F is evaluated at endpoint + sign * start / 4**k, k < max_steps, one
+    point at a time, so the schedule is never computed past the stall.
+    The stall is on two Richardson columns, the values at offset 0 of the
+    lines and the quadratic through the last two and three points
+    (Neville's scheme): with q the ratio of two offsets,
     R1_k = F_k + (F_k - F_(k-1)) / (q - 1) and
     R2_k = R1_k + (R1_k - R1_(k-1)) / (q - 1) with q = h_(k-2) / h_k.  They
     cancel the terms of order h and h^2 of a primitive smooth at the
     endpoint.  R2_k is a combination of three raw values with weights
-    summing to 1, so it converges wherever they do.  Such a schedule
-    ends, without a limit, at the first point equal to the endpoint or to
-    the previous point: F is never evaluated at the endpoint, and a
-    schedule that stopped moving cannot fake a stall.
+    summing to 1, so it converges wherever they do.  The schedule ends,
+    without a limit, at the first point equal to the endpoint or to the
+    previous point: F is never evaluated at the endpoint, and a schedule
+    that stopped moving cannot fake a stall.
     """
-    prev: Optional[float] = None
+    h1 = v1 = r1_prev = prev = None  # last offset, value, R1 and R2
+    q_prev = _APPROACH_FACTOR
     last_delta = math.inf
-    streak = 0
-    steps = 0
-    h1 = v1 = r1_prev = None  # previous offset, raw value and R1
-    q_prev = ratio
-    slack = _RATIO_SLACK * ratio
-    for x in points:
-        if endpoint is not None:
-            h = x - endpoint
-            if h == 0.0 or h == h1:
-                break
+    streak = steps = 0
+    for k in range(cfg.max_steps):
+        x = endpoint + sign * (start / _APPROACH_FACTOR ** k)
+        h = x - endpoint
+        if h == 0.0 or h == h1:
+            break
         steps += 1
         try:
             val = F(x)
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationFailure(
                 f"{what}: function raised {exc!r} at x={x!r}") from exc
-        if math.isnan(val) or math.isinf(val):
+        if not math.isfinite(val):
             raise EvaluationFailure(
                 f"{what}: function returned {val!r} at x={x!r}")
-        if endpoint is not None:
-            if h1 is None:
-                h1, v1 = h, val
-                continue
+        if h1 is not None:
             q = h1 / h
-            if abs(q - ratio) <= slack:
-                q = ratio
+            if abs(q - _APPROACH_FACTOR) <= _RATIO_SLACK:
+                q = _APPROACH_FACTOR
             r1 = val + (val - v1) / (q - 1.0)
-            r2 = None if r1_prev is None else \
-                r1 + (r1 - r1_prev) / (q * q_prev - 1.0)
-            h1, v1, r1_prev, q_prev = h, val, r1, q
-            if r2 is None:
-                continue
-            val = r2
-        if prev is not None:
-            last_delta = abs(val - prev)
-            if last_delta <= cfg.stall_tolerance:
-                streak += 1
-                if streak >= _STALL_RUNS:
-                    return LimitResult(value=val, converged=True,
-                                       steps_used=steps, last_delta=last_delta)
-            else:
-                streak = 0
-        prev = val
+            if r1_prev is not None:
+                r2 = r1 + (r1 - r1_prev) / (q * q_prev - 1.0)
+                if prev is not None:
+                    last_delta = abs(r2 - prev)
+                    small = last_delta <= cfg.stall_tolerance
+                    streak = streak + 1 if small else 0
+                    if streak >= _STALL_RUNS:
+                        return LimitResult(value=r2, converged=True,
+                                           steps_used=steps,
+                                           last_delta=last_delta)
+                prev = r2
+            r1_prev, q_prev = r1, q
+        h1, v1 = h, val
     raise NonConvergent(
         f"{what}: no stall within {steps} steps "
         f"(last delta {last_delta:.3e})",
         last_value=prev, last_delta=last_delta, steps_used=steps)
-
-
-def _approach(F: Callable[[float], float], endpoint: float, sign: float,
-              cfg: LimitConfig, what: str, start: float) -> LimitResult:
-    """_stalled_limit along endpoint + sign * start / 4**k, k < max_steps."""
-    points = (endpoint + sign * (start / _APPROACH_FACTOR ** k)
-              for k in range(cfg.max_steps))
-    return _stalled_limit(points, F, cfg, what, endpoint, _APPROACH_FACTOR)
 
 
 def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
@@ -317,9 +295,9 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
     F = real_function(F)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return _approach(F, endpoint, -1.0 if side == "left" else 1.0, cfg,
-                     f"one_sided_limit at {endpoint!r} ({side})",
-                     _START_OFFSET)
+    return _stalled_limit(F, endpoint, -1.0 if side == "left" else 1.0,
+                          _START_OFFSET, cfg,
+                          f"one_sided_limit at {endpoint!r} ({side})")
 
 
 def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
@@ -345,10 +323,9 @@ def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
     def G(t: float) -> float:
         return F(s * t / (1.0 - t))
 
-    return _approach(G, 1.0, -1.0, cfg,
-                     f"limit_at_infinity ({sign}) as x -> 1- in "
-                     f"F({'' if sign == 'pos' else '-'}x / (1 - x))",
-                     _START_OFFSET)
+    return _stalled_limit(G, 1.0, -1.0, _START_OFFSET, cfg,
+                          f"limit_at_infinity ({sign}) as x -> 1- in "
+                          f"F({'' if sign == 'pos' else '-'}x / (1 - x))")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 An integrand together with one of its antiderivatives is a
 :class:`PrimitivePair`; the integral over the stored open interval is
-``F(hi-) - F(lo+)``, both limits taken numerically.  On top of that single
-definition this module provides executable forms of the classical rules:
-truncation limits (Hake), linearity and interval additivity, monotone
-comparison, the ML bound, integration by parts, and the substitution rule.
-Each rule is verified numerically and reported, never proven.
+``F(hi-) - F(lo+)``, both limits taken numerically by core's one limit
+kernel.  On top of that single definition this module provides executable
+forms of the classical rules: truncation limits (Hake, whose limit of
+truncated integrals is taken by the same kernel), linearity and interval
+additivity, monotone comparison, the ML bound, integration by parts, and
+the substitution rule.  Each rule is verified numerically and reported,
+never proven.
 
 Precondition checks (antiderivative consistency, pointwise order, range of
 a substitution) are sampled at Chebyshev-distributed points.  They detect
@@ -17,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from .builder import PiecewisePrimitive
 from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig, LimitResult,
-                   NewtonCalcError, RealFunction, _START_OFFSET, _approach,
+                   NewtonCalcError, RealFunction, _START_OFFSET,
                    _stalled_limit, as_interval, chebyshev_samples,
                    limit_at_infinity, real_function)
 
@@ -176,13 +178,13 @@ def _endpoint_limit(F: RealFunction, iv: Interval, which: str,
         if math.isinf(iv.a):
             base = min(iv.b, 0.0)
             return limit_at_infinity(lambda x: F(base + x), "neg", cfg)
-        return _approach(F, iv.a, 1.0, cfg,
-                         f"one_sided_limit at {iv.a!r} (right)", start)
+        return _stalled_limit(F, iv.a, 1.0, start, cfg,
+                              f"one_sided_limit at {iv.a!r} (right)")
     if math.isinf(iv.b):
         base = max(iv.a, 0.0)
         return limit_at_infinity(lambda x: F(base + x), "pos", cfg)
-    return _approach(F, iv.b, -1.0, cfg,
-                     f"one_sided_limit at {iv.b!r} (left)", start)
+    return _stalled_limit(F, iv.b, -1.0, start, cfg,
+                          f"one_sided_limit at {iv.b!r} (left)")
 
 
 def newton_integral(pair: PrimitivePair,
@@ -203,41 +205,29 @@ def newton_integral(pair: PrimitivePair,
                           reversed_orientation=reverse)
 
 
-def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
-               truncation_schedule: Optional[Iterable[float]] = None
+def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG
                ) -> IdentityReport:
     """Full-interval integral versus the limit of truncated integrals.
 
-    The truncation points must increase toward the upper endpoint.  Each
-    truncated integral is F(c) - F(lo+) (F is continuous at interior c, and
-    F(lo+) is the full integral's lower limit); the limit kernel stalls on
-    them and never evaluates points past the stall.  On the default
-    schedule toward a finite upper endpoint b, b - (b - a) / 2**k, the
-    stall is on the ratio-2 extrapolates to b, as at any finite endpoint
-    (about 15 steps where the raw values take about 36).  Toward +inf the
-    default truncations are max(a, 0) + x along limit_at_infinity's ray.
-    A caller-supplied schedule stays on the raw values.
+    Each truncated integral is F(c) - F(lo+), with F(lo+) the full
+    integral's lower limit, and the limit kernel takes them as c -> hi,
+    like any endpoint limit: toward a finite b at offsets
+    (b - a) / 2 / 4**k from the midpoint (from b - 1 on (-inf, b)), toward
+    +inf along limit_at_infinity's ray from max(a, 0).
     """
     full = newton_integral(pair, cfg)
     a, b = pair.domain
 
     def truncated(c: float) -> float:
-        if not pair.domain.contains(c):
-            raise SplitPointOutsideInterval(
-                f"truncation point {c!r} not interior to the domain")
         return pair.primitive(c) - full.lower_limit.value
 
-    what = "hake_check: truncated integrals"
-    if truncation_schedule is not None:
-        rhs = _stalled_limit(map(float, truncation_schedule),
-                             RealFunction(truncated), cfg, what)
-    elif math.isinf(b):
+    if math.isinf(b):
         rhs = limit_at_infinity(lambda x: truncated(max(a, 0.0) + x), "pos",
                                 cfg)
     else:
-        rhs = _stalled_limit((b - (b - a) / 2.0 ** k
-                              for k in range(1, cfg.max_steps)),
-                             RealFunction(truncated), cfg, what, b, 2.0)
+        start = 0.5 * (b - a) if math.isfinite(a) else 1.0
+        rhs = _stalled_limit(truncated, b, -1.0, start, cfg,
+                             "hake_check: truncated integrals")
     return IdentityReport.equality(full.value, rhs.value, IDENTITY_TOLERANCE)
 
 

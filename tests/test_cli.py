@@ -143,6 +143,48 @@ def test_unreadable_cache_blob_is_rebuilt(tmp_path, corrupt):
     assert blob.read_text() == text
 
 
+BUILT_INTEGRAL = ("integrate", "--function-id", "exp-neg-square",
+                  "--lo", "0", "--hi", "1")
+
+
+def _usage_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("newton-calc: ") and err.count("\n") == 1
+    return err
+
+
+def test_cache_dir_that_is_a_file_exits_64(tmp_path, capsys):
+    not_a_dir = tmp_path / "blob"
+    not_a_dir.write_text("")
+    code, text = run_cli(*BUILT_INTEGRAL, "--cache-dir", str(not_a_dir))
+    assert code == EXIT_USAGE and text == ""
+    assert str(not_a_dir) in _usage_line(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["blob"]
+
+
+def test_cache_key_that_is_a_directory_exits_64(tmp_path, capsys):
+    run_cli(*BUILT_INTEGRAL, "--cache-dir", str(tmp_path))
+    [blob] = list(tmp_path.iterdir())
+    blob.unlink()
+    blob.mkdir()
+    code, text = run_cli(*BUILT_INTEGRAL, "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE and text == ""
+    assert str(blob) in _usage_line(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == [blob.name]
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys,
+                                                monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, text = run_cli(*BUILT_INTEGRAL, "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE and text == ""
+    assert str(tmp_path) in _usage_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_function_exits_64():
     code, _ = run_cli("integrate", "--function-id", "nope",
                       "--lo", "0", "--hi", "1")
@@ -231,35 +273,12 @@ def test_determinism_byte_identical():
 
 
 def test_determinism_across_thread_counts(monkeypatch):
+    # rows are computed in order on one thread; a leftover thread-count
+    # variable changes nothing
     _, a = run_cli("wallis", "--n-max", "6")
     monkeypatch.setenv("NEWTON_CALC_THREADS", "4")
     _, b = run_cli("wallis", "--n-max", "6")
     assert a == b
-
-
-def test_thread_pool_is_capped_at_the_row_count(monkeypatch):
-    from newton_calc import cli
-
-    sizes = []
-
-    class RecordingPool:
-        # runs the rows serially; only the requested pool size is recorded
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("NEWTON_CALC_THREADS", "100000")
-    assert cli._map_rows(lambda n: n * n, [1, 2, 3]) == [1, 4, 9]
-    assert sizes == [3]
 
 
 # a sitecustomize that prints OPENBLAS_NUM_THREADS as numpy is first imported

@@ -141,6 +141,20 @@ def test_endpoint_beyond_the_schedule_resolution_has_no_limit():
     assert info.value.steps_used < 10
 
 
+def test_limit_without_stall_reports_its_tail():
+    # sin(1/x) has no limit at 0+: all 60 points are drawn, and the error
+    # carries the last extrapolate R2 and its last move
+    with pytest.raises(NonConvergent, match="within 60 steps") as info:
+        one_sided_limit(lambda x: math.sin(1.0 / x), 0.0, "right")
+    values = [math.sin(1.0 / (0.1 / 4.0 ** k)) for k in range(60)]
+    r1 = [v + (v - u) / 3.0 for u, v in zip(values, values[1:])]
+    r2 = [s + (s - r) / 15.0 for r, s in zip(r1, r1[1:])]
+    err = info.value
+    assert err.steps_used == 60
+    assert err.last_value == r2[-1]
+    assert err.last_delta == abs(r2[-1] - r2[-2])
+
+
 def test_divergent_limit_raises():
     with pytest.raises(NonConvergent):
         one_sided_limit(lambda x: 1.0 / x, 0.0, "right")

@@ -82,12 +82,6 @@ def test_nonconvergent_integral():
 # hake
 # ---------------------------------------------------------------------------
 
-def test_hake_exponential():
-    rep = hake_check(EXP_PAIR, truncation_schedule=[2.0 ** k
-                                                    for k in range(50)])
-    assert rep.holds and rep.residual <= 1e-9
-
-
 def test_hake_gamma_five():
     rep = hake_check(gamma_pair(5), PRECISE_LIMIT_CONFIG)
     assert abs(rep.lhs - 120.0) <= 1e-7
@@ -121,12 +115,30 @@ def test_hake_takes_the_lower_limit_from_the_full_integral():
 
 
 def test_hake_finite_default_schedule_is_extrapolated():
-    # b - (b - a)/2^k approaches b by a fixed ratio of 2, so the truncated
-    # integrals stall on their extrapolates; on the raw values they stall
-    # about 2e-11 short of the full integral
+    # b - (b - a)/2/4^k approaches b by the kernel's ratio of 4, so the
+    # truncated integrals stall on their extrapolates, as at any endpoint;
+    # on the raw values they would stall about 2e-11 short of the integral
     rep = hake_check(pair_for("cos", 0.3, 2.1))
     assert rep.holds and rep.residual <= 1e-12
     assert abs(rep.rhs - (math.sin(2.1) - math.sin(0.3))) <= 1e-12
+
+
+def test_hake_truncations_reach_the_upper_endpoint_closely():
+    rng = np.random.default_rng(15)
+    worst = 0.0
+    for _ in range(200):
+        a, b = sorted(rng.uniform(-10.0, 10.0, size=2))
+        rep = hake_check(pair_for("inverse-quadratic", a, b))
+        worst = max(worst, abs(rep.rhs - (math.atan(b) - math.atan(a))))
+    assert worst <= 1e-14
+
+
+def test_hake_toward_a_finite_end_of_a_lower_ray():
+    # no midpoint on (-inf, 0): the truncation points start 1 short of 0
+    pair = PrimitivePair(RealFunction(math.exp), RealFunction(math.exp),
+                         Interval(-math.inf, 0.0))
+    rep = hake_check(pair)
+    assert rep.holds and abs(rep.rhs - 1.0) <= 1e-14
 
 
 def test_infinite_domain_reports_use_the_identity_tolerance():
@@ -135,21 +147,6 @@ def test_infinite_domain_reports_use_the_identity_tolerance():
     rep = hake_check(EXP_PAIR)
     assert rep.holds and rep.tolerance == 1e-8
     assert rep.residual <= 1e-14
-
-
-def test_hake_point_outside_domain():
-    with pytest.raises(SplitPointOutsideInterval):
-        hake_check(EXP_PAIR, truncation_schedule=[1.0, -1.0, 2.0])
-
-
-def test_hake_schedule_without_stall_reports_its_tail():
-    pair = pair_for("reciprocal-square", 1.0, math.inf)
-    with pytest.raises(NonConvergent, match="within 4 steps") as info:
-        hake_check(pair, truncation_schedule=[2.0, 3.0, 4.0, 5.0])
-    err = info.value
-    assert err.steps_used == 4
-    assert abs(err.last_value - (1.0 - 1.0 / 5.0)) <= 1e-9
-    assert abs(err.last_delta - (1.0 / 4.0 - 1.0 / 5.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Static scan: no settable value without a caller, no unused import.
+"""Static scan: no settable value without a caller, no unused import, no
+environment read.
 
 Every defaulted parameter and every defaulted dataclass field in src/
 must be set by name or by position in at least one call somewhere in
@@ -8,7 +9,9 @@ it (or re-exported through its __all__).  Matching is by the callee's
 last name (``f(...)``, ``obj.f(...)``, ``Class(...)`` for ``__init__`` and
 dataclass fields), which can only over-count callers, never miss one.
 Parameters whose names start with ``_`` are the closure-binding idiom
-(``def g(y, _x=x)``) and are not meant to be set.
+(``def g(y, _x=x)``) and are not meant to be set.  A setting belongs on
+the command line or in a parameter, so nothing in src/ reads the
+environment, except the command-line entry asking for one BLAS thread.
 """
 
 import ast
@@ -144,3 +147,35 @@ def test_every_import_in_src_is_used():
             if name not in used and name not in _exported(tree):
                 unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _is_blas_default(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:
+    """``os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)``"""
+    method = parents.get(node)
+    call = parents.get(method)
+    return (isinstance(method, ast.Attribute) and method.attr == "setdefault"
+            and isinstance(call, ast.Call) and call.func is method
+            and bool(call.args) and isinstance(call.args[0], ast.Constant)
+            and call.args[0].value == "OPENBLAS_NUM_THREADS")
+
+
+def test_no_environment_read_in_src():
+    reads = []
+    for path in SRC:
+        tree = _parse(path)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}: from os import {a.name}"
+                          for a in node.names if a.name in _ENVIRONMENT]
+            elif (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "os"
+                  and not (path.name == "__main__.py"
+                           and _is_blas_default(node, parents))):
+                reads.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+    assert reads == []

@@ -15,7 +15,9 @@ With quadratic pieces that gap shrinks about 16x per level on smooth
 integrands (4x with linear pieces).
 
 The refinement kernel (``_dyadic_levels``) and the mesh stall rule
-(``_stalled``) are shared with ``fubini``'s inner integrals.
+(``_stalled``) are shared with ``fubini``'s inner integrals.  The builder
+starts the kernel at level 0; the inner integrals start it at their floor
+level, so that every node below the floor is evaluated in one call.
 
 The result is normalised to vanish exactly at the left endpoint.
 """
@@ -191,25 +193,30 @@ def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
 
 
 def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
-                   a: float, b: float, max_refinement: int, label: str
+                   a: float, b: float, max_refinement: int, label: str,
+                   first: int
                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (level, nodes, new_values) on the dyadic meshes of [a, b].
+    """Yield (level, nodes, new_values) on the dyadic meshes of [a, b], for
+    levels first..max_refinement.
 
-    nodes is the level's whole mesh; new_values holds the integrand at its
-    new nodes only (both ends at level 0, nodes[1::2] after), the last axis
-    running over them (one row from f.many, or 2-D grid rows).  evaluate
-    runs lazily, when the next level is requested.  Non-finite values raise
-    EvaluationFailure."""
+    nodes is the level's whole mesh, from the same midpoint recursion at
+    every first.  new_values holds the integrand at the level's new nodes,
+    the last axis running over them (one row from f.many, or 2-D grid
+    rows): at level first that is every node, in one evaluate call; after
+    it, nodes[1::2].  evaluate runs lazily, when the next level is
+    requested.  Non-finite values raise EvaluationFailure."""
     nodes = np.array([a, b], dtype=float)
-    yield 0, nodes, _finite(evaluate(nodes), nodes, label)
-    for level in range(1, max_refinement + 1):
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        mid_values = _finite(evaluate(mids), mids, label)
-        new_nodes = np.empty(2 * len(nodes) - 1, dtype=float)
-        new_nodes[0::2] = nodes
-        new_nodes[1::2] = mids
-        nodes = new_nodes
-        yield level, nodes, mid_values
+    for level in range(max_refinement + 1):
+        if level > 0:
+            mids = 0.5 * (nodes[:-1] + nodes[1:])
+            new_nodes = np.empty(2 * len(nodes) - 1, dtype=float)
+            new_nodes[0::2] = nodes
+            new_nodes[1::2] = mids
+            nodes = new_nodes
+        if level == first:
+            yield level, nodes, _finite(evaluate(nodes), nodes, label)
+        elif level > first:
+            yield level, nodes, _finite(evaluate(mids), mids, label)
 
 
 def _stalled(gaps: Sequence[Union[float, np.ndarray]], target: float,
@@ -248,7 +255,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     # by _dyadic_levels), not as numpy warnings escaping ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for level, xs, new in _dyadic_levels(f.many, a, b, cfg.max_refinement,
-                                             f.label):
+                                             f.label, 0):
             if level == 0:
                 vals = new
             else:

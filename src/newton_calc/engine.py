@@ -168,23 +168,35 @@ class IdentityReport:
 # the integral itself
 # ---------------------------------------------------------------------------
 
+def _inward_start(near: float, far: float, start: float) -> float:
+    """start, halved while the schedule's first point from the finite end
+    near toward far does not fall short of far.  On an interval a few ulps
+    wide, near + half the length can round onto far; a first point that
+    rounds onto near ends the schedule in the kernel before any call."""
+    sign = 1.0 if far > near else -1.0
+    while sign * (far - (near + sign * start)) <= 0.0:
+        start *= 0.5
+    return start
+
+
 def _endpoint_limit(F: RealFunction, iv: Interval, which: str,
                     cfg: LimitConfig) -> LimitResult:
     """F's limit at iv's lower or upper end, from inside iv: a finite
-    end's schedule starts at most half iv's length away, and a ray's runs
-    outward from the other end, or from 0 when that end lies beyond it."""
+    end's schedule starts at most half iv's length away (less where that
+    point would not lie inside iv), and a ray's runs outward from the
+    other end, or from 0 when that end lies beyond it."""
     start = min(_START_OFFSET, 0.5 * iv.length)
     if which == "lower":
         if math.isinf(iv.a):
             base = min(iv.b, 0.0)
             return limit_at_infinity(lambda x: F(base + x), "neg", cfg)
-        return _stalled_limit(F, iv.a, 1.0, start, cfg,
-                              f"one_sided_limit at {iv.a!r} (right)")
+        return _stalled_limit(F, iv.a, 1.0, _inward_start(iv.a, iv.b, start),
+                              cfg, f"one_sided_limit at {iv.a!r} (right)")
     if math.isinf(iv.b):
         base = max(iv.a, 0.0)
         return limit_at_infinity(lambda x: F(base + x), "pos", cfg)
-    return _stalled_limit(F, iv.b, -1.0, start, cfg,
-                          f"one_sided_limit at {iv.b!r} (left)")
+    return _stalled_limit(F, iv.b, -1.0, _inward_start(iv.b, iv.a, start),
+                          cfg, f"one_sided_limit at {iv.b!r} (left)")
 
 
 def newton_integral(pair: PrimitivePair,
@@ -225,7 +237,8 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG
         rhs = limit_at_infinity(lambda x: truncated(max(a, 0.0) + x), "pos",
                                 cfg)
     else:
-        start = 0.5 * (b - a) if math.isfinite(a) else 1.0
+        start = _inward_start(b, a, 0.5 * (b - a) if math.isfinite(a)
+                              else 1.0)
         rhs = _stalled_limit(truncated, b, -1.0, start, cfg,
                              "hake_check: truncated integrals")
     return IdentityReport.equality(full.value, rhs.value, IDENTITY_TOLERANCE)

@@ -104,6 +104,32 @@ def test_short_interval_schedules_stay_inside(lo, hi):
     assert all(lo < x < hi for x in seen)
 
 
+def test_one_ulp_interval_never_evaluates_the_primitive():
+    # 1e-300 + half an ulp is a tie that rounds onto the upper end; the
+    # lower schedule starts closer instead, rounds onto 1e-300 and ends
+    # before any call
+    lo = 1e-300
+    hi = math.nextafter(lo, 10.0)
+    seen = []
+    with pytest.raises(NonConvergent):
+        newton_integral(_spied_sine(lo, hi, seen))
+    assert seen == []
+
+
+@given(st.one_of(st.just(0.0), _SIGNED_MAGNITUDE), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_few_ulp_intervals_are_probed_only_inside(lo, ulps):
+    hi = lo
+    for _ in range(ulps):
+        hi = math.nextafter(hi, math.inf)
+    seen = []
+    try:
+        newton_integral(_spied_sine(lo, hi, seen))
+    except NonConvergent:
+        pass
+    assert all(lo < x < hi for x in seen)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ray_schedule_starts_inside_the_interval(sign):
     # on (100, inf) a ray from 0 would evaluate F at 9; this F is defined

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from newton_calc.builder import BuildConfig
-from newton_calc.core import DecayViolation, Interval
+from newton_calc.builder import (BuildConfig, RefinementExhausted,
+                                 _dyadic_levels, _stalled)
+from newton_calc.core import DecayViolation, EvaluationFailure, Interval
 from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
                                 BivariateFunction, _inner_values,
-                                _ridge_excess,
+                                _ridge_excess, _special_cfg,
                                 asymmetry_counterexample,
                                 bound_A_at, bound_B_at,
                                 counterexample_family,
@@ -115,15 +116,96 @@ def test_inner_value_depends_on_its_node_alone():
 def test_inner_value_of_a_cubic_is_exact_at_the_minimum_level():
     # the piecewise-quadratic interpolant's cubic antiderivative integrates
     # cubics exactly, so every gap past level 1 is rounding and each row
-    # stops at the minimum level 8: 2**8 + 1 evaluations per row
-    f, calls = counting(BivariateFunction(
-        lambda x, y: x * y ** 3 - 2.0 * y * y + y + 1.0, "cubic in y",
-        lambda xs, ys: xs * ys ** 3 - 2.0 * ys * ys + ys + 1.0))
+    # stops at the minimum level 8, whose 2**8 + 1 nodes per row are
+    # evaluated in a single grid call
+    grids = []
+
+    def vector(xs, ys):
+        grids.append(np.broadcast(xs, ys).shape)
+        return xs * ys ** 3 - 2.0 * ys * ys + ys + 1.0
+
+    f = BivariateFunction(lambda x, y: vector(x, y), "cubic in y", vector)
     xs = np.array([-1.5, 0.0, 0.25, 3.0])
     got = _inner_values(f, xs, Interval(0.0, 2.0), RECT_CFG)
     exact = 4.0 * xs - 16.0 / 3.0 + 2.0 + 2.0
     assert np.max(np.abs(got - exact)) <= 1e-14
-    assert calls[0] == len(xs) * (2 ** 8 + 1)
+    assert grids == [(len(xs), 2 ** 8 + 1)]
+
+
+def level_by_level_inner_values(f, xs, y_iv, cfg):
+    """Reference for _inner_values: the same running sums, but every level
+    from 0 up is its own grid call on the level's new nodes."""
+    c, d = y_iv.a, y_iv.b
+    length = d - c
+    target = cfg.target_uniform_gap * length
+    min_level = max(cfg.min_refinement, 8)
+    out = np.empty(len(xs), dtype=float)
+    for start in range(0, len(xs), _INNER_CHUNK):
+        index = np.arange(start, min(start + _INNER_CHUNK, len(xs)))
+        rows = xs[index]
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
+                                cfg.max_refinement, f.label, 0)
+        gaps = []
+        for level, _ys, new in levels:
+            h = math.ldexp(length, -level)
+            if level == 0:
+                ends = new[:, 0] + new[:, -1]
+                sums = ends.copy()
+                trapezoid = value = 0.5 * h * ends
+                continue
+            sums += new.sum(axis=1)
+            refined = h * (sums - 0.5 * ends)
+            simpson = (4.0 * refined - trapezoid) / 3.0
+            gaps.append(np.abs(simpson - value))
+            trapezoid, value = refined, simpson
+            done = _stalled(gaps, target, 3, min_level)
+            if done.any():
+                out[index[done]] = value[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                index, rows, ends, sums, trapezoid, value = (
+                    v[keep] for v in (index, rows, ends, sums, trapezoid,
+                                      value))
+                gaps = [g[keep] for g in gaps]
+        else:
+            raise RefinementExhausted("no stall")
+    return out
+
+
+def test_floor_mesh_in_one_call_is_bit_identical_to_level_by_level():
+    cubic = BivariateFunction(
+        lambda x, y: x * y ** 3 - 2.0 * y * y + y + 1.0, "cubic in y",
+        lambda xs, ys: xs * ys ** 3 - 2.0 * ys * ys + ys + 1.0)
+    sin_product, calls = counting(registry_bivariate("sin-product"))
+    rows = np.linspace(0.0, 12.0, 1500)
+    cases = [
+        (cubic, np.array([-1.5, 0.0, 0.25, 3.0]), Interval(0.0, 2.0),
+         RECT_CFG),
+        (sin_product, rows, Interval(0.0, 2.0), RECT_CFG),
+        (special_integrand(), np.linspace(0.0, 16.0, 129),
+         Interval(0.0, 16.0), _special_cfg(16.0)),
+    ]
+    assert len(rows) > _INNER_CHUNK
+    for f, xs, y_iv, cfg in cases:
+        got = _inner_values(f, xs, y_iv, cfg)
+        assert got.tobytes() == \
+            level_by_level_inner_values(f, xs, y_iv, cfg).tobytes(), f.label
+    # the two sin-product runs evaluate more than the floor's 2**8 + 1
+    # nodes per row: some rows refine past it
+    assert calls[0] > 2 * len(rows) * (2 ** 8 + 1)
+
+
+def test_non_finite_inner_node_is_named():
+    # y = 0.3125 = 5/16 on [0, 2] is first a mesh node at level 5, below
+    # the floor, so it is evaluated in the floor's single grid call
+    bad = 0.3125
+    f = BivariateFunction(
+        lambda x, y: math.nan if y == bad else x * y, "nan at y = 5/16",
+        lambda xs, ys: np.where(ys == bad, np.nan, xs * ys))
+    with pytest.raises(EvaluationFailure, match="mesh node") as info:
+        _inner_values(f, np.array([0.5, 1.0]), Interval(0.0, 2.0), RECT_CFG)
+    assert float(str(info.value).rsplit(" ", 1)[-1]) == bad
 
 
 def test_decay_rectangle_evaluation_count():

@@ -50,6 +50,9 @@ __all__ = [
 
 SERIALIZATION_VERSION = 2
 
+# the finest dyadic level any refinement reaches: about 4M pieces
+MAX_REFINEMENT = 22
+
 
 class RefinementExhausted(NewtonCalcError):
     """The Cauchy criterion was not met within the refinement budget.
@@ -72,23 +75,21 @@ class BuildConfig:
     target_uniform_gap * (b - a) for two levels in a row (one small gap is
     too easy to hit by accident when the coarse mesh has not seen a
     feature yet, which is also why refinement never stops before
-    min_refinement).  max_refinement=22 caps the mesh at about 4M pieces.
+    min_refinement).  Refinement is capped at level 22 (MAX_REFINEMENT),
+    about 4M pieces.
     """
 
     target_uniform_gap: float = 1e-8
-    max_refinement: int = 22
     probe_grid: int = 257
     min_refinement: int = 4
 
     def __post_init__(self) -> None:
         if not self.target_uniform_gap > 0.0:
             raise ValueError("target_uniform_gap must be positive")
-        if self.max_refinement < 1:
-            raise ValueError("max_refinement must be at least 1")
         if self.probe_grid < 2:
             raise ValueError("probe_grid must be at least 2")
-        if not 1 <= self.min_refinement <= self.max_refinement:
-            raise ValueError("need 1 <= min_refinement <= max_refinement")
+        if not 1 <= self.min_refinement <= MAX_REFINEMENT:
+            raise ValueError(f"need 1 <= min_refinement <= {MAX_REFINEMENT}")
 
 
 DEFAULT_BUILD_CONFIG = BuildConfig()
@@ -142,7 +143,13 @@ class PiecewisePrimitive:
     __call__ = evaluate
 
     def many(self, xs) -> np.ndarray:
+        """evaluate at every point of xs, with the same OutOfDomain."""
         xs = np.asarray(xs, dtype=float)
+        a, b = self.domain
+        outside = ~((a <= xs) & (xs <= b))  # NaN is outside too
+        if outside.any():
+            raise OutOfDomain(
+                f"{float(xs[outside].flat[0])!r} outside [{a!r}, {b!r}]")
         idx = np.clip(np.searchsorted(self.breakpoints, xs, side="right") - 1,
                       0, self.piece_count - 1)
         t = xs - self.base_point
@@ -193,11 +200,10 @@ def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
 
 
 def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
-                   a: float, b: float, max_refinement: int, label: str,
-                   first: int
+                   a: float, b: float, label: str, first: int
                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield (level, nodes, new_values) on the dyadic meshes of [a, b], for
-    levels first..max_refinement.
+    levels first..MAX_REFINEMENT.
 
     nodes is the level's whole mesh, from the same midpoint recursion at
     every first.  new_values holds the integrand at the level's new nodes,
@@ -206,7 +212,7 @@ def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
     it, nodes[1::2].  evaluate runs lazily, when the next level is
     requested.  Non-finite values raise EvaluationFailure."""
     nodes = np.array([a, b], dtype=float)
-    for level in range(max_refinement + 1):
+    for level in range(MAX_REFINEMENT + 1):
         if level > 0:
             mids = 0.5 * (nodes[:-1] + nodes[1:])
             new_nodes = np.empty(2 * len(nodes) - 1, dtype=float)
@@ -237,7 +243,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
 
     The nodes come from the shared dyadic kernel, so the total cost is
     that of the finest mesh.  Raises RefinementExhausted when the
-    probe-grid Cauchy criterion is not met within cfg.max_refinement
+    probe-grid Cauchy criterion is not met within MAX_REFINEMENT
     levels, and EvaluationFailure when f is not finite at a node or a
     level's primitive overflows.
     """
@@ -254,8 +260,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     # overflow is reported below as a non-finite gap (non-finite node values
     # by _dyadic_levels), not as numpy warnings escaping ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for level, xs, new in _dyadic_levels(f.many, a, b, cfg.max_refinement,
-                                             f.label, 0):
+        for level, xs, new in _dyadic_levels(f.many, a, b, f.label, 0):
             if level == 0:
                 vals = new
             else:
@@ -281,7 +286,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
 
     raise RefinementExhausted(
         f"no Cauchy stall for {f.label or '<unnamed>'} on [{a}, {b}] within "
-        f"{cfg.max_refinement} refinements (last gap {history[-1]:.3e}, "
+        f"{MAX_REFINEMENT} refinements (last gap {history[-1]:.3e}, "
         f"target {target:.3e})")
 
 
@@ -321,11 +326,12 @@ def ray_integral(f: Union[RealFunction, Callable[[float], float]],
 
 def derivative_check(P: PiecewisePrimitive,
                      f: Union[RealFunction, Callable[[float], float]]) -> float:
-    """Max |central difference of P - f|, with step 1e-5, over a uniform
-    101-point interior grid."""
+    """Max |central difference of P - f|, with step 1e-5 (on intervals
+    shorter than 8e-5, an eighth of the length, so every point stays in
+    the domain), over a uniform 101-point interior grid."""
     f = real_function(f)
     a, b = P.domain
-    h = 1e-5
+    h = min(1e-5, (b - a) / 8.0)
     xs = np.linspace(a + 2 * h, b - 2 * h, 101)
     fd = (P.many(xs + h) - P.many(xs - h)) / (2.0 * h)
     return float(np.max(np.abs(fd - f.many(xs))))

@@ -79,35 +79,27 @@ class DecayViolation(NewtonCalcError):
 
 @dataclass(frozen=True)
 class Interval:
-    """An open interval (lo, hi), lo < hi, with float endpoints.
+    """An open interval (a, b), a < b, with float endpoints.
 
     Either endpoint may be infinite: IEEE floats already order
     -inf < finite < +inf.  NaN is rejected.
     """
 
-    lo: float
-    hi: float
+    a: float
+    b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if math.isnan(self.lo) or math.isnan(self.hi):
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
+        if math.isnan(self.a) or math.isnan(self.b):
             raise ValueError("interval endpoints cannot be NaN")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval endpoints must satisfy lo < hi, got "
-                             f"({self.lo}, {self.hi})")
-
-    @property
-    def a(self) -> float:
-        return self.lo
-
-    @property
-    def b(self) -> float:
-        return self.hi
+        if not self.a < self.b:
+            raise ValueError(f"interval endpoints must satisfy a < b, got "
+                             f"({self.a}, {self.b})")
 
     @property
     def is_finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
+        return math.isfinite(self.a) and math.isfinite(self.b)
 
     @property
     def length(self) -> float:
@@ -124,8 +116,8 @@ class Interval:
 def as_interval(iv: Union[Interval, Sequence[float]]) -> Interval:
     if isinstance(iv, Interval):
         return iv
-    lo, hi = iv
-    return Interval(lo, hi)
+    a, b = iv
+    return Interval(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +166,14 @@ class LimitConfig:
     """Parameters of the numerical limit schedule.
 
     Endpoints are probed at offsets 0.1 / 4**k, finite ones in x and
-    infinite ones in t = |x| / (1 + |x|), for at most max_steps points.
+    infinite ones in t = |x| / (1 + |x|), for at most 60 points.
     """
 
     stall_tolerance: float = 1e-10
-    max_steps: int = 60
 
     def __post_init__(self) -> None:
         if not self.stall_tolerance > 0.0:
             raise ValueError("stall_tolerance must be positive")
-        if self.max_steps < 3:
-            raise ValueError("max_steps must be at least 3")
 
 
 DEFAULT_LIMIT_CONFIG = LimitConfig()
@@ -206,6 +195,7 @@ class LimitResult:
 
 
 _STALL_RUNS = 3  # consecutive small deltas required before convergence
+_MAX_STEPS = 60  # most points in one schedule
 
 # endpoints are probed at offsets _START_OFFSET / _APPROACH_FACTOR**k
 _START_OFFSET = 0.1
@@ -224,7 +214,7 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
                    what: str) -> LimitResult:
     """The limit kernel: F's limit at ``endpoint`` from the side ``sign``.
 
-    F is evaluated at endpoint + sign * start / 4**k, k < max_steps, one
+    F is evaluated at endpoint + sign * start / 4**k, k < 60, one
     point at a time, so the schedule is never computed past the stall.
     The stall is on two Richardson columns, the values at offset 0 of the
     lines and the quadratic through the last two and three points
@@ -242,7 +232,7 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
     q_prev = _APPROACH_FACTOR
     last_delta = math.inf
     streak = steps = 0
-    for k in range(cfg.max_steps):
+    for k in range(_MAX_STEPS):
         x = endpoint + sign * (start / _APPROACH_FACTOR ** k)
         h = x - endpoint
         if h == 0.0 or h == h1:

@@ -26,8 +26,8 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .builder import (BuildConfig, RefinementExhausted, _dyadic_levels,
-                      _stalled, build_primitive, ray_integral)
+from .builder import (MAX_REFINEMENT, BuildConfig, RefinementExhausted,
+                      _dyadic_levels, _stalled, build_primitive, ray_integral)
 from .core import DecayViolation, Interval, RealFunction, as_interval
 from .engine import PrimitivePair, newton_integral
 
@@ -98,11 +98,11 @@ class BivariateFunction:
                                  label=f"{self.label}^T", vector_fn=tvec)
 
 
-def bivariate(f: Union[BivariateFunction, Callable[[float, float], float]],
-              label: str = "") -> BivariateFunction:
+def bivariate(f: Union[BivariateFunction, Callable[[float, float], float]]
+              ) -> BivariateFunction:
     if isinstance(f, BivariateFunction):
         return f
-    return BivariateFunction(f, label=label or getattr(f, "__name__", ""))
+    return BivariateFunction(f, label=getattr(f, "__name__", ""))
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,12 @@ class IteratedIntegralReport:
 # rows per batch; a memory bound only, since every row stalls on its own
 _INNER_CHUNK = 1024
 
+# inner values must be accurate, or outer refinement sees a noise floor;
+# hence their own floor level, deeper than the outer builds' (6 here), and
+# the three-gap stall (narrow features hide from coarse dyadic meshes
+# longer than wide ones)
+_INNER_FLOOR = 8
+
 
 def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
                   cfg: BuildConfig) -> np.ndarray:
@@ -165,10 +171,6 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
     c, d = y_iv.a, y_iv.b
     length = d - c
     target = cfg.target_uniform_gap * length
-    # inner values must be accurate, or outer refinement sees a noise
-    # floor; hence the deeper minimum level and the three-gap stall
-    # (narrow features hide from coarse dyadic meshes longer than wide ones)
-    min_level = max(cfg.min_refinement, 8)
     out = np.empty(len(xs), dtype=float)
 
     for start in range(0, len(xs), _INNER_CHUNK):
@@ -176,11 +178,11 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         # the kernel evaluates lazily, so it sees the active rows of the
         # level it is asked for
         rows = xs[index]
-        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
-                                cfg.max_refinement, f.label, min_level)
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, f.label,
+                                _INNER_FLOOR)
         gaps: List[np.ndarray] = []
         for level, _ys, new in levels:
-            if level == min_level:
+            if level == _INNER_FLOOR:
                 ends = new[:, 0] + new[:, -1]
                 sums = ends.copy()
                 # two nodes carry no quadratic: level 0's value is T_0
@@ -197,7 +199,7 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
                 simpson = (4.0 * refined - trapezoid) / 3.0
                 gaps.append(np.abs(simpson - value))
                 trapezoid, value = refined, simpson
-            done = _stalled(gaps, target, 3, min_level)
+            done = _stalled(gaps, target, 3, _INNER_FLOOR)
             if done.any():
                 out[index[done]] = value[done]
                 keep = ~done
@@ -210,7 +212,7 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         else:
             raise RefinementExhausted(
                 f"inner integrals did not stall within "
-                f"{cfg.max_refinement} refinements")
+                f"{MAX_REFINEMENT} refinements")
     return out
 
 
@@ -277,37 +279,19 @@ def gaussian_half_line_built() -> float:
         0.0, 1.0, BuildConfig(target_uniform_gap=1e-10))
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Maximum of a unimodal function by golden-section search."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return max(fn(x), fc, fd)
-
-
 @lru_cache(maxsize=None)
 def tail_constants() -> Tuple[float, float, float, float]:
-    """(c_gauss, c0, c1, c2), computed numerically at first use.
+    """(c_gauss, c0, c1, c2), computed at first use.
 
-    c2 is the smallest power of two with inner(z) < c2 * z**(-4/3) over a
-    log grid on [1, 1e4]; the inner profile comes from the closed-form
+    c0 and c1 are the values at the maximisers, x = sqrt(3/2) of
+    x**3 exp(-x**2) and x = sqrt(1/2) of x exp(-x**2).  c2 is the
+    smallest power of two with inner(z) < c2 * z**(-4/3) over a log grid
+    on [1, 1e4]; the inner profile comes from the closed-form
     antiderivative -exp(-x^2 (1+z^2)) / (2 (1+z^2)).
     """
     c = gaussian_half_line_built()
-    c0 = _golden_max(lambda x: x ** 3 * math.exp(-x * x), 1.0, 6.0)
-    c1 = _golden_max(lambda x: x * math.exp(-x * x), 0.0, 4.0)
+    c0 = 1.5 ** 1.5 * math.exp(-1.5)
+    c1 = math.sqrt(0.5) * math.exp(-0.5)
 
     def inner_profile(z: float) -> float:
         return newton_integral(pair_from_inner_closed_form(z)).value
@@ -319,7 +303,7 @@ def tail_constants() -> Tuple[float, float, float, float]:
     c2 = 2.0 ** exponent
     if not worst < c2:
         c2 *= 2.0
-    return c, float(c0), float(c1), float(c2)
+    return c, c0, c1, float(c2)
 
 
 def pair_from_inner_closed_form(z: float) -> PrimitivePair:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from .core import Interval, NewtonCalcError, RealFunction
 from .engine import PrimitivePair
+from .fubini import BivariateFunction
 
 __all__ = [
     "NamedFunction",
@@ -35,14 +36,11 @@ class UnknownFunction(NewtonCalcError):
 
 @dataclass(frozen=True)
 class NamedFunction:
-    id: str
+    """A registry integrand, labelled by its id, and its closed-form
+    antiderivative if it has one."""
+
     fn: RealFunction
     primitive: Optional[RealFunction]
-    description: str
-
-
-def _rf(fn, vec, label):
-    return RealFunction(fn, label=label, vector_fn=vec)
 
 
 def _xlogx_minus_x(x: float) -> float:
@@ -56,36 +54,35 @@ def _log1p_primitive(x: float) -> float:
 REGISTRY: Dict[str, NamedFunction] = {}
 
 
-def _register(id_: str, fn, vec, primitive, pvec, description: str) -> None:
+def _register(id_: str, fn, vec, primitive, pvec) -> None:
     REGISTRY[id_] = NamedFunction(
-        id=id_,
-        fn=_rf(fn, vec, id_),
-        primitive=None if primitive is None else _rf(primitive, pvec, id_ + "-antiderivative"),
-        description=description)
+        fn=RealFunction(fn, label=id_, vector_fn=vec),
+        primitive=None if primitive is None else RealFunction(
+            primitive, label=id_ + "-antiderivative", vector_fn=pvec))
 
 
-_register("cos", math.cos, np.cos, math.sin, np.sin, "cos x")
+_register("cos", math.cos, np.cos, math.sin, np.sin)
 _register("sin", math.sin, np.sin,
-          lambda x: -math.cos(x), lambda xs: -np.cos(xs), "sin x")
-_register("log", math.log, np.log, _xlogx_minus_x,
-          lambda xs: xs * np.log(xs) - xs, "log x (x > 0)")
-_register("log1p", math.log1p, np.log1p, _log1p_primitive,
-          lambda xs: (1.0 + xs) * np.log1p(xs) - xs, "log(1 + x) (x > -1)")
+          lambda x: -math.cos(x), lambda xs: -np.cos(xs))
+_register("log", math.log, np.log, _xlogx_minus_x,               # x > 0
+          lambda xs: xs * np.log(xs) - xs)
+_register("log1p", math.log1p, np.log1p, _log1p_primitive,       # x > -1
+          lambda xs: (1.0 + xs) * np.log1p(xs) - xs)
 _register("exp-neg", lambda x: math.exp(-x), lambda xs: np.exp(-xs),
-          lambda x: -math.exp(-x), lambda xs: -np.exp(-xs), "exp(-x)")
+          lambda x: -math.exp(-x), lambda xs: -np.exp(-xs))
+# no closed-form antiderivative: the CLI builds one on finite intervals
 _register("exp-neg-square", lambda x: math.exp(-x * x),
-          lambda xs: np.exp(-xs * xs), None, None,
-          "exp(-x^2), no closed-form antiderivative supplied")
-_register("reciprocal-square", lambda x: 1.0 / (x * x),
+          lambda xs: np.exp(-xs * xs), None, None)
+_register("reciprocal-square", lambda x: 1.0 / (x * x),          # x != 0
           lambda xs: 1.0 / (xs * xs),
-          lambda x: -1.0 / x, lambda xs: -1.0 / xs, "1 / x^2 (x != 0)")
+          lambda x: -1.0 / x, lambda xs: -1.0 / xs)
 _register("identity", lambda x: x, lambda xs: xs,
-          lambda x: 0.5 * x * x, lambda xs: 0.5 * xs * xs, "x")
+          lambda x: 0.5 * x * x, lambda xs: 0.5 * xs * xs)
 _register("one", lambda x: 1.0, lambda xs: np.ones_like(xs),
-          lambda x: x, lambda xs: xs, "constant 1")
+          lambda x: x, lambda xs: xs)
 _register("inverse-quadratic", lambda x: 1.0 / (1.0 + x * x),
           lambda xs: 1.0 / (1.0 + xs * xs),
-          math.atan, np.arctan, "1 / (1 + x^2)")
+          math.atan, np.arctan)
 
 
 def get_function(id_: str) -> NamedFunction:
@@ -164,46 +161,34 @@ def gamma_pair(n: int) -> PrimitivePair:
 # bivariate registry for the iterated-integral commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedBivariate:
-    id: str
-    fn: Callable[[float, float], float]
-    vector_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    description: str
+BIVARIATE_REGISTRY: Dict[str, BivariateFunction] = {}
 
 
-BIVARIATE_REGISTRY: Dict[str, NamedBivariate] = {}
+def _register2(id_: str, fn, vec) -> None:
+    BIVARIATE_REGISTRY[id_] = BivariateFunction(fn, label=id_, vector_fn=vec)
 
 
-def _register2(id_: str, fn, vec, description: str) -> None:
-    BIVARIATE_REGISTRY[id_] = NamedBivariate(id_, fn, vec, description)
-
-
-_register2("one2d", lambda x, y: 1.0,
-           lambda xs, ys: np.ones_like(xs * ys), "constant 1")
-_register2("plane", lambda x, y: x + y, lambda xs, ys: xs + ys, "x + y")
-_register2("x-ysquared", lambda x, y: x * y * y,
-           lambda xs, ys: xs * ys * ys, "x * y^2")
+_register2("one2d", lambda x, y: 1.0, lambda xs, ys: np.ones_like(xs * ys))
+_register2("plane", lambda x, y: x + y, lambda xs, ys: xs + ys)
+_register2("x-ysquared", lambda x, y: x * y * y, lambda xs, ys: xs * ys * ys)
 _register2("exp-neg-sum-squares", lambda x, y: math.exp(-x * x - y * y),
-           lambda xs, ys: np.exp(-xs * xs - ys * ys), "exp(-x^2 - y^2)")
+           lambda xs, ys: np.exp(-xs * xs - ys * ys))
 _register2("cos-x-sin-y", lambda x, y: math.cos(x) * math.sin(y),
-           lambda xs, ys: np.cos(xs) * np.sin(ys), "cos x * sin y")
+           lambda xs, ys: np.cos(xs) * np.sin(ys))
 _register2("inverse-quartic",
            lambda x, y: 1.0 / (1.0 + x * x + y * y) ** 2,
-           lambda xs, ys: 1.0 / (1.0 + xs * xs + ys * ys) ** 2,
-           "1 / (1 + x^2 + y^2)^2")
+           lambda xs, ys: 1.0 / (1.0 + xs * xs + ys * ys) ** 2)
 _register2("product-exp", lambda x, y: math.exp(-x - y),
-           lambda xs, ys: np.exp(-xs - ys), "exp(-x - y)")
+           lambda xs, ys: np.exp(-xs - ys))
 _register2("sin-product", lambda x, y: math.sin(x * y),
-           lambda xs, ys: np.sin(xs * ys), "sin(x * y)")
+           lambda xs, ys: np.sin(xs * ys))
 _register2("log-bowl", lambda x, y: math.log1p(x * x + y * y),
-           lambda xs, ys: np.log1p(xs * xs + ys * ys), "log(1 + x^2 + y^2)")
+           lambda xs, ys: np.log1p(xs * xs + ys * ys))
 _register2("ridge", lambda x, y: math.exp(-0.25 * (x + y) ** 2),
-           lambda xs, ys: np.exp(-0.25 * (xs + ys) ** 2),
-           "exp(-(x + y)^2 / 4)")
+           lambda xs, ys: np.exp(-0.25 * (xs + ys) ** 2))
 
 
-def get_bivariate(id_: str) -> NamedBivariate:
+def get_bivariate(id_: str) -> BivariateFunction:
     try:
         return BIVARIATE_REGISTRY[id_]
     except KeyError:

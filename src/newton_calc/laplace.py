@@ -20,16 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .builder import BuildConfig, build_primitive, ray_integral
-from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig,
-                   NewtonCalcError, PRECISE_LIMIT_CONFIG, RealFunction)
+from .core import (Interval, NewtonCalcError, PRECISE_LIMIT_CONFIG,
+                   RealFunction)
 from .engine import IdentityReport, PrimitivePair, newton_integral
 from .functions import factorial_product, gamma_pair
-from .fubini import pair_from_inner_closed_form, special_infinite_fubini
+from .fubini import pair_from_inner_closed_form
 from .sums import AsymptoticRecord, log_factorial
 
 __all__ = [
@@ -295,7 +295,7 @@ def reduce_to_gauss(cfg: LaplaceConfig) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gauss_quarter(cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> float:
+def _gauss_quarter() -> float:
     """The squared half-line Gaussian integral, i.e. pi/4, by the chain.
 
     The iterated-integral step swaps the orders for
@@ -305,31 +305,25 @@ def _gauss_quarter(cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> float:
     """
 
     def inner_value(v: float) -> float:
-        return newton_integral(pair_from_inner_closed_form(v), cfg).value
+        return newton_integral(pair_from_inner_closed_form(v)).value
 
     outer = PrimitivePair(
         RealFunction(inner_value, label="inner Gaussian slice"),
         RealFunction(lambda v: 0.5 * math.atan(v),
                      vector_fn=lambda vs: 0.5 * np.arctan(vs)),
         Interval(0.0, math.inf))
-    return newton_integral(outer, cfg).value
+    return newton_integral(outer).value
 
 
 @lru_cache(maxsize=None)
-def gauss_integral(verify_fubini_at: Optional[float] = None,
-                   cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> float:
+def gauss_integral() -> float:
     """The full-line integral of exp(-t^2), which equals sqrt(pi).
 
-    Optionally re-verifies the order swap numerically at a finite
-    truncation first (the certificate must hold).  The full-line value is
-    twice the half-line value by the flipping substitution t -> -t.
+    The full-line value is twice the half-line value by the flipping
+    substitution t -> -t.  fubini.special_infinite_fubini checks the order
+    swap numerically at finite truncations.
     """
-    if verify_fubini_at is not None:
-        report = special_infinite_fubini(verify_fubini_at)
-        if not report.holds:
-            raise NewtonCalcError(
-                f"iterated-order certificate failed at b = {verify_fubini_at}")
-    return 2.0 * math.sqrt(_gauss_quarter(cfg))
+    return 2.0 * math.sqrt(_gauss_quarter())
 
 
 def gauss_half_line() -> float:

@@ -9,9 +9,11 @@ O(1/n).  Exponentiating gives n! = (d + O(1/n)) sqrt(n) (n/e)^n with a
 constant d this module estimates from its own strip sums; identifying d
 with sqrt(2*pi) is the business of the cosine-power recurrence module.
 
-Exact log-factorials use math.fsum (exactly rounded compensated
-summation); a cumulative float table is provided separately for bulk
-scans where drift of order 1e-7 absolute is acceptable.
+Single log-factorials are math.fsum of the rounded logs, the correctly
+rounded sum of those: within 1 ulp of log n! for every n <= 20,000, and
+1 ulp off for 79 of them; a cumulative float table is provided
+separately for bulk scans where drift of order 1e-7 absolute is
+acceptable.
 """
 
 from __future__ import annotations
@@ -225,7 +227,11 @@ def strip_constant() -> float:
 
 @lru_cache(maxsize=4096)
 def log_factorial(n: int) -> float:
-    """log(n!) as an exactly rounded compensated sum of log m."""
+    """log(n!) as the correctly rounded sum of the rounded log m, m <= n.
+
+    Within 1 ulp of log n! (checked up to n = 20,000), but not always
+    its correct rounding.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     return math.fsum(map(math.log, range(2, n + 1)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from newton_calc import builder
 from newton_calc.builder import (BuildConfig, OutOfDomain,
                                  RefinementExhausted, build_primitive,
                                  derivative_check, dumps, from_json_dict,
@@ -102,11 +103,25 @@ def test_out_of_domain():
         P.evaluate(1.5)
 
 
+@pytest.mark.parametrize("x", [1.5, -0.5, math.nan, math.inf])
+def test_scalar_and_vector_twins_share_the_domain(x):
+    # RealFunction's twins agree pointwise, so outside [a, b] both raise
+    # rather than one of them extrapolating an end cubic
+    F = pair_from_primitive(build_primitive(COS, (0.0, 1.0)), COS).primitive
+    with pytest.raises(OutOfDomain):
+        F(x)
+    with pytest.raises(OutOfDomain):
+        F.many([0.5, x])
+    xs = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(F.many(xs), [F(x) for x in xs])
+
+
 @pytest.mark.parametrize("f, iv, cap", [
     (RealFunction(lambda x: x, label="x"), (0.0, 1.0), 1e-9),
     (COS, (0.0, math.pi / 2), 1e-4),
     (EXP_NEG_SQ, (0.0, 1.0), 1e-4),
     (LOG1P, (0.0, 1.0), 1e-4),
+    (COS, (1.0, 1.00003), 1e-4),
 ])
 def test_derivative_check_bounds(f, iv, cap):
     P = build_primitive(f, iv)
@@ -140,10 +155,10 @@ def test_two_probe_grids_agree():
     assert gap <= 2 * cfg_a.target_uniform_gap * 2.0
 
 
-def test_refinement_exhausted_on_tiny_budget():
-    cfg = BuildConfig(target_uniform_gap=1e-14, max_refinement=5,
-                      min_refinement=1)
-    with pytest.raises(RefinementExhausted):
+def test_refinement_exhausted_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(builder, "MAX_REFINEMENT", 5)
+    cfg = BuildConfig(target_uniform_gap=1e-14, min_refinement=1)
+    with pytest.raises(RefinementExhausted, match="within 5 refinements"):
         build_primitive(COS, (0.0, math.pi / 2), cfg)
 
 

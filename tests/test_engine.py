@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_calc.builder import build_primitive
-from newton_calc.core import (EvaluationFailure, Interval, NonConvergent,
-                              PRECISE_LIMIT_CONFIG, RealFunction)
+from newton_calc.core import (DEFAULT_LIMIT_CONFIG, EvaluationFailure,
+                              Interval, NonConvergent, PRECISE_LIMIT_CONFIG,
+                              RealFunction)
 from newton_calc.engine import (DomainMismatch, InfiniteInterval,
                                 PointwiseOrderViolated, PrimitivePair,
                                 RangeViolation, SplitPointOutsideInterval,
@@ -76,6 +77,31 @@ def test_nonconvergent_integral():
                          RealFunction(math.log), Interval(0.0, 1.0))
     with pytest.raises(NonConvergent):
         newton_integral(pair)
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG],
+                         ids=["default", "precise"])
+def test_slow_limits_are_right_or_nonconvergent(cfg):
+    # F(u) = n! u sum_{k<=n} (-log u)^k / k! is the primitive of
+    # (-log u)^n on (0, 1), whose integral is n!.  F(0+) = 0 is reached
+    # ever more slowly as n grows, and the 60 points of the schedule end
+    # at u = 0.1 / 4**59: a limit out of reach must raise, never stall on
+    # a wrong value.
+    for n in range(31):
+        fact = float(math.factorial(n))
+
+        def F(u, n=n, fact=fact):
+            L = -math.log(u)
+            return fact * u * sum(L ** k / math.factorial(k)
+                                  for k in range(n + 1))
+
+        pair = PrimitivePair(lambda u, n=n: (-math.log(u)) ** n, F,
+                             Interval(0.0, 1.0))
+        try:
+            value = newton_integral(pair, cfg).value
+        except NonConvergent:
+            continue
+        assert abs(value - fact) <= cfg.stall_tolerance * max(1.0, fact), n
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,8 @@ from oracles import (EXP_NEG_SQUARE_SQUARED, exp_neg_square_series_01,
                      quarter_plane_inv_quartic_midpoint,
                      ridge_excess_by_bisection, special_truncated_midpoint)
 
-TIGHT = BuildConfig(target_uniform_gap=1e-8, max_refinement=22,
-                    probe_grid=257, min_refinement=6)
-
-
-def registry_bivariate(id_: str) -> BivariateFunction:
-    nb = BIVARIATE_REGISTRY[id_]
-    return BivariateFunction(nb.fn, nb.id, nb.vector_fn)
+TIGHT = BuildConfig(target_uniform_gap=1e-8, probe_grid=257,
+                    min_refinement=6)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +33,7 @@ def registry_bivariate(id_: str) -> BivariateFunction:
 # ---------------------------------------------------------------------------
 
 def test_rectangle_constant():
-    f = registry_bivariate("one2d")
+    f = BIVARIATE_REGISTRY["one2d"]
     assert iterated_rectangle(f, (0, 1), (0, 1), "xy") == pytest.approx(1.0, abs=1e-12)
     assert iterated_rectangle(f, (0, 1), (0, 1), "yx") == pytest.approx(1.0, abs=1e-12)
 
@@ -46,7 +41,7 @@ def test_rectangle_constant():
 def test_rectangle_gaussian_product():
     oracle = exp_neg_square_series_01() ** 2
     assert abs(oracle - EXP_NEG_SQUARE_SQUARED) < 1e-15
-    f = registry_bivariate("exp-neg-sum-squares")
+    f = BIVARIATE_REGISTRY["exp-neg-sum-squares"]
     vxy = iterated_rectangle(f, (0, 1), (0, 1), "xy", TIGHT)
     vyx = iterated_rectangle(f, (0, 1), (0, 1), "yx", TIGHT)
     assert abs(vxy - oracle) <= 1e-6
@@ -56,7 +51,7 @@ def test_rectangle_gaussian_product():
 
 
 def test_rectangle_plane():
-    f = registry_bivariate("plane")
+    f = BIVARIATE_REGISTRY["plane"]
     # hand oracle: antiderivative x^2 y / 2 + x y^2 / 2 over [0,1]x[0,2]
     assert iterated_rectangle(f, (0, 1), (0, 2), "xy") == pytest.approx(3.0, abs=1e-9)
     assert iterated_rectangle(f, (0, 1), (0, 2), "yx") == pytest.approx(3.0, abs=1e-9)
@@ -65,7 +60,7 @@ def test_rectangle_plane():
 def test_rectangle_order_independence_battery():
     rng = np.random.default_rng(20240817)
     for fid in sorted(BIVARIATE_REGISTRY):
-        f = registry_bivariate(fid)
+        f = BIVARIATE_REGISTRY[fid]
         x0 = rng.uniform(-2.0, 2.5)
         x1 = x0 + rng.uniform(0.5, 2.5)
         y0 = rng.uniform(-2.0, 2.5)
@@ -76,7 +71,7 @@ def test_rectangle_order_independence_battery():
 
 
 def test_inner_values_match_direct_sections():
-    f = registry_bivariate("cos-x-sin-y")
+    f = BIVARIATE_REGISTRY["cos-x-sin-y"]
     inner = inner_integral_function(f, (0.0, 2.0), TIGHT)
     for x in (0.1, 0.7, 1.3):
         # closed form: cos(x) * (1 - cos 2)
@@ -98,7 +93,7 @@ def counting(f: BivariateFunction):
 def test_inner_value_depends_on_its_node_alone():
     # sin(x y) needs deeper meshes as x grows, so rows stall at different
     # levels; the batch crosses a chunk boundary
-    f = registry_bivariate("sin-product")
+    f = BIVARIATE_REGISTRY["sin-product"]
     y_iv = Interval(0.0, 2.0)
     xs = np.linspace(0.0, 12.0, 1500)
     assert len(xs) > _INNER_CHUNK
@@ -138,13 +133,11 @@ def level_by_level_inner_values(f, xs, y_iv, cfg):
     c, d = y_iv.a, y_iv.b
     length = d - c
     target = cfg.target_uniform_gap * length
-    min_level = max(cfg.min_refinement, 8)
     out = np.empty(len(xs), dtype=float)
     for start in range(0, len(xs), _INNER_CHUNK):
         index = np.arange(start, min(start + _INNER_CHUNK, len(xs)))
         rows = xs[index]
-        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
-                                cfg.max_refinement, f.label, 0)
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, f.label, 0)
         gaps = []
         for level, _ys, new in levels:
             h = math.ldexp(length, -level)
@@ -158,7 +151,7 @@ def level_by_level_inner_values(f, xs, y_iv, cfg):
             simpson = (4.0 * refined - trapezoid) / 3.0
             gaps.append(np.abs(simpson - value))
             trapezoid, value = refined, simpson
-            done = _stalled(gaps, target, 3, min_level)
+            done = _stalled(gaps, target, 3, 8)
             if done.any():
                 out[index[done]] = value[done]
                 keep = ~done
@@ -177,7 +170,7 @@ def test_floor_mesh_in_one_call_is_bit_identical_to_level_by_level():
     cubic = BivariateFunction(
         lambda x, y: x * y ** 3 - 2.0 * y * y + y + 1.0, "cubic in y",
         lambda xs, ys: xs * ys ** 3 - 2.0 * ys * ys + ys + 1.0)
-    sin_product, calls = counting(registry_bivariate("sin-product"))
+    sin_product, calls = counting(BIVARIATE_REGISTRY["sin-product"])
     rows = np.linspace(0.0, 12.0, 1500)
     cases = [
         (cubic, np.array([-1.5, 0.0, 0.25, 3.0]), Interval(0.0, 2.0),
@@ -209,7 +202,7 @@ def test_non_finite_inner_node_is_named():
 
 
 def test_decay_rectangle_evaluation_count():
-    f, calls = counting(registry_bivariate("product-exp"))
+    f, calls = counting(BIVARIATE_REGISTRY["product-exp"])
     value = iterated_rectangle(f, (0.0, 20.0), (0.0, 20.0), "xy", _DECAY_CFG)
     assert abs(value - (1.0 - math.exp(-20.0)) ** 2) <= 5e-7
     assert calls[0] <= 1.9e7
@@ -292,7 +285,7 @@ def test_bounds_decrease_for_large_b():
 # ---------------------------------------------------------------------------
 
 def test_decay_inverse_quartic():
-    f = registry_bivariate("inverse-quartic")
+    f = BIVARIATE_REGISTRY["inverse-quartic"]
     rep, history = decay_bounded_fubini(f, 1.0, [4.0, 8.0, 16.0, 32.0])
     assert rep.discrepancy <= 1e-6
     # cross-check each truncation against a dense midpoint grid
@@ -313,7 +306,7 @@ def test_decay_zero_function():
 
 
 def test_decay_separable_exponential():
-    f = registry_bivariate("product-exp")
+    f = BIVARIATE_REGISTRY["product-exp"]
     rep, _ = decay_bounded_fubini(f, math.e ** 2, [6.0, 12.0, 20.0])
     # separable oracle: (1 - exp(-b))^2, within 1e-8 of 1 at b = 20
     oracle = (1.0 - math.exp(-20.0)) ** 2
@@ -380,8 +373,8 @@ def test_counterexample_inner_matches_direct_build():
     f = counterexample_family()
     for x in (0.5, 2.0, 5.0):
         section = f.section_at_x(x)
-        cfg = BuildConfig(target_uniform_gap=1e-9, max_refinement=22,
-                          probe_grid=257, min_refinement=8)
+        cfg = BuildConfig(target_uniform_gap=1e-9, probe_grid=257,
+                          min_refinement=8)
         P = build_primitive(section, (0.0, 40.0), cfg)
         direct = P.evaluate(40.0) + math.exp(-x - 40.0)  # truncated floor tail
         assert abs(inner(x) - direct) <= 1e-6, x

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from newton_calc.core import LimitConfig
 from newton_calc.laplace import (BudgetViolation, GammaOverflow,
                                  LaplaceConfig, centered_integrand,
                                  concentrate, gamma_integral, gauss_half_line,
@@ -126,18 +125,6 @@ def test_gauss_quarter_identity():
 def test_gauss_against_midpoint_oracle():
     oracle = gauss_half_line_midpoint()
     assert abs(gauss_integral() / 2.0 - oracle) <= 1e-6
-
-
-def test_gauss_stable_under_tighter_schedules():
-    default = gauss_integral()
-    tighter = gauss_integral(cfg=LimitConfig(stall_tolerance=5e-11,
-                                             max_steps=120))
-    assert abs(default - tighter) < 1e-9
-
-
-def test_gauss_with_order_swap_verification():
-    assert abs(gauss_integral(verify_fubini_at=4.0)
-               - math.sqrt(math.pi)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

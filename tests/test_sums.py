@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -149,6 +150,18 @@ def test_log_factorial_against_lgamma():
     for n in (10, 1000, 10 ** 6):
         exact = math.lgamma(n + 1)
         assert abs(log_factorial(n) - exact) <= 1e-13 * exact
+
+
+def test_log_factorial_within_one_ulp_of_a_40_digit_sum():
+    # fsum correctly rounds the sum of the already rounded logs: within
+    # 1 ulp of log n!, but not always its correct rounding
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = decimal.Decimal(0)
+        for n in range(2, 2001):
+            exact += decimal.Decimal(n).ln()
+            got = log_factorial(n)
+            assert abs(decimal.Decimal(got) - exact) <= math.ulp(got), n
 
 
 def test_log_factorial_table_tracks_fsum():

@@ -1,17 +1,19 @@
 """Static scan: no settable value without a caller, no unused import, no
 environment read.
 
-Every defaulted parameter and every defaulted dataclass field in src/
-must be set by name or by position in at least one call somewhere in
-src/, tests/ or perfbench/; a value that nothing sets is a constant and
-belongs in the body.  Every name a module in src/ imports must be used in
-it (or re-exported through its __all__).  Matching is by the callee's
-last name (``f(...)``, ``obj.f(...)``, ``Class(...)`` for ``__init__`` and
-dataclass fields), which can only over-count callers, never miss one.
-Parameters whose names start with ``_`` are the closure-binding idiom
-(``def g(y, _x=x)``) and are not meant to be set.  A setting belongs on
-the command line or in a parameter, so nothing in src/ reads the
-environment, except the command-line entry asking for one BLAS thread.
+Every defaulted parameter in src/ must be set by name or by position in
+at least one call somewhere in src/, tests/ or perfbench/, and every
+defaulted dataclass field by a call in src/ or perfbench/: a value that
+nothing sets is a constant and belongs in the body, and so is a
+configuration field that only tests vary.  Every name a module in src/
+imports must be used in it (or re-exported through its __all__).
+Matching is by the callee's last name (``f(...)``, ``obj.f(...)``,
+``Class(...)`` for ``__init__`` and dataclass fields), which can only
+over-count callers, never miss one.  Parameters whose names start with
+``_`` are the closure-binding idiom (``def g(y, _x=x)``) and are not
+meant to be set.  A setting belongs on the command line or in a
+parameter, so nothing in src/ reads the environment, except the
+command-line entry asking for one BLAS thread.
 """
 
 import ast
@@ -20,8 +22,8 @@ from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "newton_calc").glob("*.py"))
-CALLERS = SRC + sorted((ROOT / "tests").glob("*.py")) \
-    + sorted((ROOT / "perfbench").rglob("*.py"))
+PRODUCTION = SRC + sorted((ROOT / "perfbench").rglob("*.py"))
+CALLERS = PRODUCTION + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _parse(path: Path) -> ast.Module:
@@ -51,8 +53,9 @@ def _init_false(value: ast.expr) -> bool:
                     and k.value.value is False for k in value.keywords))
 
 
-def _settable() -> List[Tuple[str, str, str, int]]:
-    """(module, callee, name, positional index or -1) of every default."""
+def _settable() -> List[Tuple[str, str, str, int, bool]]:
+    """(module, callee, name, positional index or -1, is a dataclass field)
+    of every default."""
     found = []
     for path in SRC:
         tree = _parse(path)
@@ -64,7 +67,7 @@ def _settable() -> List[Tuple[str, str, str, int]]:
                       and not (s.value is not None and _init_false(s.value))]
             for i, s in enumerate(fields):
                 if s.value is not None and not s.target.id.startswith("_"):
-                    found.append((path.name, cls.name, s.target.id, i))
+                    found.append((path.name, cls.name, s.target.id, i, True))
         parents: Dict[ast.AST, ast.AST] = {
             child: node for node in ast.walk(tree)
             for child in ast.iter_child_nodes(node)}
@@ -81,17 +84,18 @@ def _settable() -> List[Tuple[str, str, str, int]]:
             first_default = len(positional) - len(fn.args.defaults)
             for i, arg in enumerate(positional):
                 if i >= first_default and not arg.arg.startswith("_"):
-                    found.append((path.name, name, arg.arg, i - offset))
+                    found.append((path.name, name, arg.arg, i - offset,
+                                  False))
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None and not arg.arg.startswith("_"):
-                    found.append((path.name, name, arg.arg, -1))
+                    found.append((path.name, name, arg.arg, -1, False))
     return found
 
 
-def _calls() -> Dict[str, List[Tuple[int, Set[str], bool]]]:
+def _calls(paths: List[Path]) -> Dict[str, List[Tuple[int, Set[str], bool]]]:
     """callee -> [(positional count, keyword names, has * or **)]."""
     calls: Dict[str, List[Tuple[int, Set[str], bool]]] = {}
-    for path in CALLERS:
+    for path in paths:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Call):
                 starred = any(isinstance(a, ast.Starred) for a in node.args) \
@@ -102,9 +106,10 @@ def _calls() -> Dict[str, List[Tuple[int, Set[str], bool]]]:
 
 
 def test_every_default_is_set_by_some_call():
-    calls = _calls()
+    anywhere, in_production = _calls(CALLERS), _calls(PRODUCTION)
     unset = []
-    for module, callee, name, index in _settable():
+    for module, callee, name, index, is_field in _settable():
+        calls = in_production if is_field else anywhere
         sites = calls.get(callee, []) + [
             (0, kw, False) for _, kw, _ in calls.get("replace", [])]
         if not any(starred or name in keywords

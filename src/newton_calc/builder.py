@@ -3,14 +3,16 @@
 The construction mirrors the classical limit argument: interpolate the
 integrand continuously on a uniform mesh, integrate the interpolant piece by
 piece, and choose the integration constants left to right so that values
-patch continuously (matching one-sided derivatives then give a two-sided
-derivative at each breakpoint).  Each piece spans two mesh intervals, and
-its interpolant is the quadratic ``c*t**2 + u*t + v`` through the piece's
-three nodes, with ``t = x - a``; its antiderivative is the cubic
-``(c/3)*t**3 + (u/2)*t**2 + v*t + w``.  The interpolant is continuous, so
-the primitive is C^1.  The mesh is refined dyadically and refinement stops
-once two consecutive levels agree on a probe grid, a practical stand-in for
-the uniform Cauchy bound ``|F_m(x) - F_n(x)| <= (x - a) * sup|f_m - f_n|``.
+join continuously (matching one-sided derivatives then give a two-sided
+derivative at each breakpoint).  Each piece spans two mesh intervals; its
+interpolant is the quadratic ``c*t**2 + u*t + v`` through its three nodes,
+with ``t`` measured from its own left breakpoint, and its antiderivative
+the cubic ``(c/3)*t**3 + (u/2)*t**2 + v*t + w``, ``w`` being the running
+sum of the integrals of the pieces to its left.  The interpolant is
+continuous, so the primitive is C^1.  The mesh is refined dyadically and
+refinement stops once two consecutive levels agree on a probe grid, a
+practical stand-in for the uniform Cauchy bound
+``|F_m(x) - F_n(x)| <= (x - a) * sup|f_m - f_n|``.
 With quadratic pieces that gap shrinks about 16x per level on smooth
 integrands (4x with linear pieces).
 
@@ -19,14 +21,14 @@ The refinement kernel (``_dyadic_levels``) and the mesh stall rule
 starts the kernel at level 0; the inner integrals start it at their floor
 level, so that every node below the floor is evaluated in one call.
 
-The result is normalised to vanish exactly at the left endpoint.
+The result vanishes exactly at the left endpoint (the first ``w`` is 0).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,13 +44,11 @@ __all__ = [
     "build_primitive",
     "ray_integral",
     "derivative_check",
-    "to_json_dict",
-    "from_json_dict",
     "dumps",
     "loads",
 ]
 
-SERIALIZATION_VERSION = 2
+SERIALIZATION_VERSION = 3
 
 # the finest dyadic level any refinement reaches: about 4M pieces
 MAX_REFINEMENT = 22
@@ -92,20 +92,19 @@ class BuildConfig:
             raise ValueError(f"need 1 <= min_refinement <= {MAX_REFINEMENT}")
 
 
-DEFAULT_BUILD_CONFIG = BuildConfig()
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewisePrimitive:
     """A C^1 piecewise-cubic antiderivative on [a, b], zero at a.
 
     Piece i covers [breakpoints[i], breakpoints[i+1]] and, with
-    ``t = x - base_point``, evaluates to
-    ``((third_c[i]*t + half_u[i])*t + v[i])*t + w[i]``.  Its derivative is
-    the piecewise-quadratic interpolant of the integrand on the final mesh:
-    on each piece, the quadratic through its two ends and its midpoint (at
-    level 0, the chord).  Coefficients in ``t`` rather than ``x`` keep the
-    cubic well conditioned on intervals far from the origin.
+    ``t = x - breakpoints[i]``, evaluates to
+    ``((third_c[i]*t + half_u[i])*t + v[i])*t + w[i]``: w[i] is the
+    integral over the pieces left of it, so the pieces join exactly at each
+    breakpoint.  Its derivative is the piecewise-quadratic interpolant of
+    the integrand on the final mesh: on each piece, the quadratic through
+    its two ends and its midpoint (at level 0, the chord).  gap_history[k-1]
+    is the probe-grid gap between levels k-1 and k, so the refinement level
+    is its length and the Cauchy delta its last entry.
     """
 
     breakpoints: np.ndarray
@@ -113,10 +112,15 @@ class PiecewisePrimitive:
     half_u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    base_point: float
-    refinement_level: int
-    cauchy_delta: float
-    gap_history: Tuple[float, ...] = ()
+    gap_history: Tuple[float, ...]
+
+    @property
+    def refinement_level(self) -> int:
+        return len(self.gap_history)
+
+    @property
+    def cauchy_delta(self) -> float:
+        return self.gap_history[-1] if self.gap_history else math.inf
 
     @property
     def piece_count(self) -> int:
@@ -126,19 +130,15 @@ class PiecewisePrimitive:
     def domain(self) -> Tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    def _piece_index(self, x: float) -> int:
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return min(max(i, 0), self.piece_count - 1)
+    @property
+    def _pieces(self) -> tuple:
+        return self.breakpoints, self.third_c, self.half_u, self.v, self.w
 
     def evaluate(self, x: float) -> float:
         a, b = self.domain
         if not (a <= x <= b):
             raise OutOfDomain(f"{x!r} outside [{a!r}, {b!r}]")
-        i = self._piece_index(x)
-        t = x - self.base_point
-        # same association order as the vector path and the construction
-        return ((self.third_c[i] * t + self.half_u[i]) * t + self.v[i]) * t \
-            + self.w[i]
+        return _cubic(self._pieces, x)
 
     __call__ = evaluate
 
@@ -150,44 +150,41 @@ class PiecewisePrimitive:
         if outside.any():
             raise OutOfDomain(
                 f"{float(xs[outside].flat[0])!r} outside [{a!r}, {b!r}]")
-        idx = np.clip(np.searchsorted(self.breakpoints, xs, side="right") - 1,
-                      0, self.piece_count - 1)
-        t = xs - self.base_point
-        return ((self.third_c[idx] * t + self.half_u[idx]) * t
-                + self.v[idx]) * t + self.w[idx]
+        return _cubic(self._pieces, xs)
 
 
-def _level_from_nodes(xs: np.ndarray, vals: np.ndarray,
-                      level: int) -> PiecewisePrimitive:
-    """The level's primitive from the mesh nodes and the integrand there.
+def _cubic(pieces: tuple, xs):
+    """pieces = (breakpoints, third_c, half_u, v, w) at a point or array xs
+    of its domain, each x in the last piece that starts at or below it."""
+    breakpoints, third_c, half_u, v, w = pieces
+    i = np.minimum(np.searchsorted(breakpoints, xs, side="right") - 1,
+                   len(w) - 1)
+    t = xs - breakpoints[i]
+    return ((third_c[i] * t + half_u[i]) * t + v[i]) * t + w[i]
+
+
+def _level_from_nodes(xs: np.ndarray, vals: np.ndarray) -> tuple:
+    """The level's (breakpoints, third_c, half_u, v, w) from the mesh nodes
+    and the integrand there.
 
     At level 0 the mesh is [a, b] and the interpolant is the chord; after
-    that the mesh has an even number of intervals and each piece spans two.
+    that the mesh has an even number of intervals and each piece spans two,
+    in Newton form f0 + d1*t + c*t*(t - hm) about its left breakpoint.
     """
-    if level == 0:
+    if len(xs) == 2:
         xs = np.array([xs[0], 0.5 * (xs[0] + xs[1]), xs[1]])
         vals = np.array([vals[0], 0.5 * (vals[0] + vals[1]), vals[1]])
-    base = float(xs[0])
-    t = xs - base
-    t0, tm, t2 = t[:-2:2], t[1::2], t[2::2]
+    x0, xm, x2 = xs[:-2:2], xs[1::2], xs[2::2]
     f0, fm, f2 = vals[:-2:2], vals[1::2], vals[2::2]
-    # Newton form f0 + d1*(t - t0) + c*(t - t0)*(t - tm), expanded in t
-    d1 = (fm - f0) / (tm - t0)
-    c = ((f2 - fm) / (t2 - tm) - d1) / (t2 - t0)
-    u = d1 - c * (t0 + tm)
-    v = (f0 - d1 * t0) + c * (t0 * tm)
+    hm, h = xm - x0, x2 - x0
+    d1 = (fm - f0) / hm
+    c = ((f2 - fm) / (x2 - xm) - d1) / h
     third_c = c / 3.0
-    half_u = 0.5 * u
-    left_raw = ((third_c * t0 + half_u) * t0 + v) * t0
-    right_raw = ((third_c * t2 + half_u) * t2 + v) * t2
-    w = np.empty_like(left_raw)
-    w[0] = -left_raw[0]
-    if len(w) > 1:
-        # value continuity: w[i+1] = w[i] + (right_raw[i] - left_raw[i+1])
-        w[1:] = w[0] + np.cumsum(right_raw[:-1] - left_raw[1:])
-    return PiecewisePrimitive(
-        breakpoints=xs[::2].copy(), third_c=third_c, half_u=half_u, v=v, w=w,
-        base_point=base, refinement_level=level, cauchy_delta=math.inf)
+    half_u = 0.5 * (d1 - c * hm)
+    # w[i+1] = w[i] + piece i at its right end, so the pieces join exactly
+    w = np.zeros_like(f0)
+    np.cumsum((((third_c * h + half_u) * h + f0) * h)[:-1], out=w[1:])
+    return xs[::2].copy(), third_c, half_u, f0.copy(), w
 
 
 def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
@@ -238,7 +235,7 @@ def _stalled(gaps: Sequence[Union[float, np.ndarray]], target: float,
 
 def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                     domain: Union[Interval, Tuple[float, float]],
-                    cfg: BuildConfig = DEFAULT_BUILD_CONFIG) -> PiecewisePrimitive:
+                    cfg: BuildConfig = BuildConfig()) -> PiecewisePrimitive:
     """Build an antiderivative of a continuous f on a finite interval.
 
     The nodes come from the shared dyadic kernel, so the total cost is
@@ -254,7 +251,8 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                          "over a ray (a, inf) with ray_integral instead")
     a, b = iv.a, iv.b
     target = cfg.target_uniform_gap * (b - a)
-    probe = np.linspace(a, b, cfg.probe_grid)
+    # on an interval of subnormal length linspace's interior rounds past b
+    probe = np.minimum(np.linspace(a, b, cfg.probe_grid), b)
     history: Tuple[float, ...] = ()
 
     # overflow is reported below as a non-finite gap (non-finite node values
@@ -268,8 +266,8 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                 merged[0::2] = vals
                 merged[1::2] = new
                 vals = merged
-            current = _level_from_nodes(xs, vals, level)
-            probe_cur = current.many(probe)
+            pieces = _level_from_nodes(xs, vals)
+            probe_cur = _cubic(pieces, probe)
             if level > 0:
                 gap = float(np.max(np.abs(probe_cur - probe_prev)))
                 if not math.isfinite(gap):
@@ -280,8 +278,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                         f"{history[-1] if history else None})")
                 history = history + (gap,)
                 if _stalled(history, target, 2, cfg.min_refinement):
-                    return replace(current, cauchy_delta=gap,
-                                   gap_history=history)
+                    return PiecewisePrimitive(*pieces, gap_history=history)
             probe_prev = probe_cur
 
     raise RefinementExhausted(
@@ -337,47 +334,29 @@ def derivative_check(P: PiecewisePrimitive,
     return float(np.max(np.abs(fd - f.many(xs))))
 
 
-# ---------------------------------------------------------------------------
-# serialization (used by the CLI primitive cache)
-# ---------------------------------------------------------------------------
-
-def to_json_dict(P: PiecewisePrimitive) -> dict:
-    return {
-        "version": SERIALIZATION_VERSION,
-        "k": P.piece_count,
-        "base_point": P.base_point,
-        "breakpoints": [float(x) for x in P.breakpoints],
-        "pieces": [[float(tc), float(hu), float(vv), float(ww)]
-                   for tc, hu, vv, ww in zip(P.third_c, P.half_u, P.v, P.w)],
-        "refinement_level": P.refinement_level,
-        "cauchy_delta": P.cauchy_delta,
-    }
-
-
-def from_json_dict(blob: dict) -> PiecewisePrimitive:
-    if blob.get("version") != SERIALIZATION_VERSION:
-        raise ValueError(f"unsupported primitive blob version "
-                         f"{blob.get('version')!r}")
-    pieces = np.asarray(blob["pieces"], dtype=float)
-    breakpoints = np.asarray(blob["breakpoints"], dtype=float)
-    if (pieces.shape, breakpoints.shape) != ((blob["k"], 4), (blob["k"] + 1,)):
-        raise ValueError("piece table shape does not match header")
-    return PiecewisePrimitive(
-        breakpoints=breakpoints,
-        third_c=pieces[:, 0].copy(), half_u=pieces[:, 1].copy(),
-        v=pieces[:, 2].copy(), w=pieces[:, 3].copy(),
-        base_point=float(blob["base_point"]),
-        refinement_level=int(blob["refinement_level"]),
-        cauchy_delta=float(blob["cauchy_delta"]))
-
-
 def dumps(P: PiecewisePrimitive) -> str:
-    return json.dumps(to_json_dict(P))
+    """P as the JSON blob of the CLI's primitive cache."""
+    return json.dumps({
+        "version": SERIALIZATION_VERSION,
+        "breakpoints": P.breakpoints.tolist(),
+        "pieces": np.column_stack([P.third_c, P.half_u, P.v, P.w]).tolist(),
+        "gap_history": list(P.gap_history),
+    })
 
 
 def loads(text: str) -> PiecewisePrimitive:
     """Inverse of dumps; raises ValueError for any blob it cannot read."""
     try:
-        return from_json_dict(json.loads(text))
+        blob = json.loads(text)
+        if blob.get("version") != SERIALIZATION_VERSION:
+            raise ValueError(f"unsupported primitive blob version "
+                             f"{blob.get('version')!r}")
+        pieces = np.asarray(blob["pieces"], dtype=float)
+        breakpoints = np.asarray(blob["breakpoints"], dtype=float)
+        history = tuple(float(g) for g in blob["gap_history"])
+        if (pieces.shape, breakpoints.ndim) != ((len(breakpoints) - 1, 4), 1):
+            raise ValueError("piece table does not match the breakpoints")
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed primitive blob: {exc!r}") from exc
+    return PiecewisePrimitive(breakpoints, *pieces.T.copy(),
+                              gap_history=history)

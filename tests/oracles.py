@@ -6,6 +6,7 @@ antiderivatives, exact arithmetic where it uses limits.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -25,6 +26,17 @@ def exp_neg_square_series_01() -> float:
 # frozen from the series above (and used where a literal is clearer)
 EXP_NEG_SQUARE_01 = 0.746824132812427
 EXP_NEG_SQUARE_SQUARED = 0.5577462853510335
+
+
+def centered_laplace_integral(n: int) -> float:
+    """Integral of (exp(-y)(1+y))**n over (-1, inf) in 50-digit decimals.
+
+    With x = n(1 + y) it is n!·e^n/n^(n+1), from the exact factorial.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(Decimal(math.factorial(n)) * Decimal(n).exp()
+                     / Decimal(n) ** (n + 1))
 
 
 def gauss_half_line_midpoint(T: float = 10.0, n: int = 2_000_000) -> float:

@@ -6,8 +6,8 @@ import pytest
 from newton_calc import builder
 from newton_calc.builder import (BuildConfig, OutOfDomain,
                                  RefinementExhausted, build_primitive,
-                                 derivative_check, dumps, from_json_dict,
-                                 loads, ray_integral, to_json_dict)
+                                 derivative_check, dumps, loads,
+                                 ray_integral)
 from newton_calc.core import (PRECISE_LIMIT_CONFIG, EvaluationFailure,
                               NonConvergent, RealFunction)
 from newton_calc.engine import newton_integral, pair_from_primitive
@@ -26,8 +26,13 @@ def test_linear_function_is_exact():
     assert P.evaluate(1.0) == 0.5
     assert P.evaluate(0.0) == 0.0
     assert P.cauchy_delta == 0.0
+    # dyadic points: every step of the construction is exact
+    for xs in (P.breakpoints, np.linspace(0.0, 1.0, 257)):
+        assert np.array_equal(P.many(xs), 0.5 * xs * xs)
+    # decimal points: t = x - breakpoint rounds, so within one ulp
     xs = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(P.many(xs) - 0.5 * xs * xs)) == 0.0
+    assert np.all(np.abs(P.many(xs) - 0.5 * xs * xs)
+                  <= np.spacing(0.5 * xs * xs))
 
 
 def test_cos_build_matches_sine():
@@ -43,29 +48,29 @@ def test_exp_neg_square_against_series_oracle():
     assert abs(P.evaluate(1.0) - oracle) <= 1e-6
 
 
-def test_base_point_value_is_exactly_zero():
+def test_left_endpoint_value_is_exactly_zero():
     for f, iv in ((COS, (0.25, 2.0)), (EXP_NEG_SQ, (-1.0, 1.5))):
         P = build_primitive(f, iv)
-        assert P.evaluate(P.base_point) == 0.0
+        assert P.evaluate(iv[0]) == 0.0
 
 
 def _piece_values(P, idx, x):
-    t = x - P.base_point
+    t = x - P.breakpoints[idx]
     return ((P.third_c[idx] * t + P.half_u[idx]) * t + P.v[idx]) * t + P.w[idx]
 
 
 def _piece_derivatives(P, idx, x):
-    t = x - P.base_point
+    t = x - P.breakpoints[idx]
     return (3.0 * P.third_c[idx] * t + 2.0 * P.half_u[idx]) * t + P.v[idx]
 
 
-def test_breakpoint_continuity_within_ulp_scale():
+def test_breakpoint_continuity_is_exact():
     P = build_primitive(COS, (0.0, math.pi / 2))
     idx = np.arange(1, P.piece_count)
     x = P.breakpoints[idx]
     left = _piece_values(P, idx - 1, x)
     right = _piece_values(P, idx, x)
-    assert np.max(np.abs(left - right)) <= 64 * np.finfo(float).eps
+    assert np.array_equal(left, right)
 
 
 def test_breakpoint_derivative_matches_node_values():
@@ -87,7 +92,8 @@ def test_cos_far_from_origin_builds():
 def test_quadratic_is_exact_from_the_first_split():
     P = build_primitive(lambda x: x * x, (0.0, 1.0))
     assert P.refinement_level == BuildConfig().min_refinement
-    assert P.cauchy_delta == 0.0
+    # each level is exact up to the rounding of its own piece cubics
+    assert P.cauchy_delta <= 2.0 ** -53
 
 
 def test_exp_neg_square_stall_level():
@@ -250,8 +256,9 @@ def test_serialization_roundtrip_is_exact():
     Q = loads(dumps(P))
     xs = np.linspace(0.0, 1.0, 257)
     assert np.array_equal(P.many(xs), Q.many(xs))
+    assert Q.gap_history == P.gap_history
     assert Q.refinement_level == P.refinement_level
-    blob = to_json_dict(P)
-    blob["version"] = 99
-    with pytest.raises(ValueError):
-        from_json_dict(blob)
+    assert Q.cauchy_delta == P.cauchy_delta
+    with pytest.raises(ValueError, match="version 99"):
+        loads(dumps(P).replace(f'"version": {builder.SERIALIZATION_VERSION}',
+                               '"version": 99'))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from newton_calc import builder
-from newton_calc.cli import EXIT_OK, EXIT_USAGE, main
+from newton_calc.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(*argv):
@@ -90,6 +90,28 @@ def test_sumint_log():
     assert 0.0 <= theta <= 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    "sumint --function-id reciprocal-square --a -1 --b 3",
+    "sumint --function-id log --a 0 --b 10",
+])
+def test_sumint_through_a_singular_point_exits_2(capsys, argv):
+    code = main(argv.split(), out=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == EXIT_CHECK_FAILED
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("newton-calc: ") and "x = 0" in line
+
+
+def test_integrate_on_a_subnormal_interval():
+    # (b - a) / 256 is subnormal: the probe grid must not round past b
+    code, text = run_cli("integrate", "--function-id", "exp-neg-square",
+                         "--lo", "0", "--hi", "1e-320")
+    assert code == EXIT_OK
+    value = float(text.strip().splitlines()[1].split(",")[3])
+    assert abs(value - 1e-320) <= 1e-3 * 1e-320
+
+
 def test_integrate_cos():
     code, text = run_cli("integrate", "--function-id", "cos",
                          "--lo", "0", "--hi", "1.5707963")
@@ -122,8 +144,9 @@ def test_integrate_built_antiderivative_cache(tmp_path):
     lambda text: "[]",
     lambda text: text.replace(f'"version": {builder.SERIALIZATION_VERSION}',
                               '"version": 99'),
-    lambda text: text.replace('"cauchy_delta"', '"other"'),
-    lambda text: text.replace('"k": ', '"k": 1'),
+    lambda text: text.replace('"gap_history"', '"other"'),
+    lambda text: text.replace('"pieces": [[',
+                              '"pieces": [[0.0, 0.0, 0.0, 0.0], ['),
     lambda text: text.replace('"breakpoints": [0.0, ', '"breakpoints": ['),
 ], ids=["truncated", "not-an-object", "wrong-version", "missing-key",
         "piece-table-mismatch", "breakpoint-count-mismatch"])

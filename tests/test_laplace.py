@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from newton_calc.builder import BuildConfig, ray_integral
 from newton_calc.laplace import (BudgetViolation, GammaOverflow,
                                  LaplaceConfig, centered_integrand,
                                  concentrate, gamma_integral, gauss_half_line,
@@ -9,7 +10,7 @@ from newton_calc.laplace import (BudgetViolation, GammaOverflow,
                                  stirling_via_laplace)
 from newton_calc.sums import incomplete_stirling, log_factorial
 
-from oracles import gauss_half_line_midpoint
+from oracles import centered_laplace_integral, gauss_half_line_midpoint
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +153,13 @@ def test_stirling_routes_agree():
         rec_lap = stirling_via_laplace(n, 0.3)
         allowance = rec_sum.predicted_bound + rec_lap.predicted_bound
         assert abs(rec_sum.approximation - rec_lap.approximation) <= allowance
+
+
+@pytest.mark.parametrize("target", [1e-10, 1e-12])
+@pytest.mark.parametrize("n", [100, 150, 402])
+def test_centered_ray_build_is_accurate_to_rounding(n, target):
+    # the curvature n of the peak at y = 0 must not cost digits to the
+    # rounding of the built cubics
+    value = ray_integral(centered_integrand(n), -1.0, 1.0, BuildConfig(target))
+    exact = centered_laplace_integral(n)
+    assert abs(value - exact) <= 1e-13 * exact

@@ -3,8 +3,9 @@
 Output goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Floats are printed with 15 significant digits so identical invocations
 produce byte-identical output.  Exit codes: 0 all checks passed, 2 a
-numerical check failed, 64 usage error (including unknown registry ids and
-arguments out of a function's range, and an unusable --cache-dir).
+numerical check failed, 64 usage error (including unknown registry ids,
+arguments out of a function's range, an interval outside the domain of a
+registry antiderivative, and an unusable --cache-dir).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _cmd_stirling(args, out) -> int:
             "approximation": rec.approximation,
             "abs_error": rec.abs_error,
             "predicted_bound": rec.predicted_bound,
-            "within_bound": rec.abs_error <= rec.predicted_bound,
+            "within_bound": rec.within_bound,
         }
 
     rows = [row(n, m) for n in args.n for m in methods]

@@ -2,12 +2,14 @@
 
 Nothing in this package ever partitions an interval to integrate: every
 integral is the difference of two endpoint limits of an antiderivative.
-This module supplies those limits, all from one kernel, _stalled_limit,
-with one schedule and one stall rule.  A finite endpoint is approached
-at offsets 0.1 / 4**k (in an integral, from at most half the interval's
-length, so no point leaves it; Hake's truncations from half of it); an
-infinite one is the same one-sided limit at t = 1- of
-G(t) = F(+-t / (1 - t)), so a ray has no schedule of its own.  A limit
+This module takes each of them through one entry, endpoint_limit (F's
+limit at an end of an open interval, from inside it), and one kernel,
+_stalled_limit, with one schedule and one stall rule; one_sided_limit and
+limit_at_infinity are endpoint_limit at an end of a ray or of the whole
+line.  A finite end is approached at offsets 0.1 / 4**k (from at most half
+the interval's length, so no point leaves it; Hake's truncations from half
+of it); an infinite one is the same one-sided limit at t = 1- of
+G(t) = F(base +- t / (1 - t)), so a ray has no schedule of its own.  A limit
 counts as found only after three consecutive steps move the Richardson
 extrapolate by no more than the stall tolerance (a single small delta is
 too easy to hit by accident on an oscillating function).  Near an
@@ -40,6 +42,7 @@ __all__ = [
     "LimitResult",
     "DEFAULT_LIMIT_CONFIG",
     "PRECISE_LIMIT_CONFIG",
+    "endpoint_limit",
     "one_sided_limit",
     "limit_at_infinity",
     "chebyshev_samples",
@@ -270,52 +273,71 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
         last_value=prev, last_delta=last_delta, steps_used=steps)
 
 
+def endpoint_limit(F: Union[RealFunction, Callable[[float], float]],
+                   iv: Union[Interval, Sequence[float]], end: str,
+                   cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
+                   start: float = _START_OFFSET) -> LimitResult:
+    """F's limit at the "lower" or "upper" end of the open interval iv,
+    from inside iv.
+
+    A finite end is approached at offsets start / 4**k, start first cut
+    to half iv's length, then halved while the first point would not fall
+    short of the other end (which it can reach on an interval a few ulps
+    wide).  An infinite end is the limit at t = 1- of
+    F(base +- t / (1 - t)), base being the other end where that lies
+    beyond 0 on the ray's side and 0 otherwise, so x runs base +- 9, 39,
+    159, ... and never leaves iv; the Richardson columns in 1 - t cancel
+    the 1/x and 1/x**2 terms of tails such as arctan's.  Every x is finite:
+    once t rounds to 1 (after 26 points) the schedule ends.  Raises
+    NonConvergent when the deltas never stall or the schedule stops moving
+    first, and EvaluationFailure on NaN, overflow or an
+    ArithmeticError/ValueError from F anywhere in the schedule.
+    """
+    F, iv = real_function(F), as_interval(iv)
+    if end not in ("lower", "upper"):
+        raise ValueError("end must be 'lower' or 'upper'")
+    up = end == "upper"
+    out, near, far = (1.0, iv.b, iv.a) if up else (-1.0, iv.a, iv.b)
+    if math.isinf(near):
+        base = max(far, 0.0) if up else min(far, 0.0)
+
+        def G(t: float) -> float:
+            return F(base + out * t / (1.0 - t))
+
+        return _stalled_limit(
+            G, 1.0, -1.0, _START_OFFSET, cfg,
+            f"limit_at_infinity ({'pos' if up else 'neg'}) as x -> 1- in "
+            f"F({'' if up else '-'}x / (1 - x))")
+    start = min(start, 0.5 * iv.length)
+    while out * (near - out * start - far) <= 0.0:
+        start *= 0.5
+    return _stalled_limit(F, near, -out, start, cfg, f"one_sided_limit at "
+                          f"{near!r} ({'left' if up else 'right'})")
+
+
 def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
                     endpoint: float, side: str,
                     cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
-    """Limit of F at a finite endpoint from the given side ("left"/"right").
-
-    Evaluates F at endpoint -/+ 0.1 / 4**k and reports the stabilized
-    Richardson extrapolate of those values.  Raises NonConvergent when the
-    deltas never stall or the schedule reaches the endpoint first, and
-    EvaluationFailure on NaN, overflow or an ArithmeticError/ValueError
-    from F anywhere in the schedule (such points are never silently
-    skipped).
-    """
-    F = real_function(F)
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return _stalled_limit(F, endpoint, -1.0 if side == "left" else 1.0,
-                          _START_OFFSET, cfg,
-                          f"one_sided_limit at {endpoint!r} ({side})")
+    """Limit of F at a finite endpoint from the given side ("left"/"right"):
+    endpoint_limit at the end of the ray (-inf, endpoint) or (endpoint,
+    inf), so F is evaluated at endpoint -/+ 0.1 / 4**k."""
+    if side == "left":
+        return endpoint_limit(F, (-math.inf, endpoint), "upper", cfg)
+    if side == "right":
+        return endpoint_limit(F, (endpoint, math.inf), "lower", cfg)
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
                       sign: str,
                       cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
-    """Limit of F along the ray toward +inf ("pos") or -inf ("neg").
-
-    The ray is the substitution x = +-t / (1 - t): its limit is the
-    one-sided limit at t = 1- of G(t) = F(+-t / (1 - t)), taken by the
-    finite-endpoint kernel with its schedule, stall rule and errors.  So
-    x runs 9, 39, 159, ..., about 4x per step, and the Richardson columns
-    in the offset 1 - t = 1 / (1 + |x|) cancel the terms of order 1/x and
-    1/x**2 of tails such as arctan's.  1 - t is exact (t >= 1/2), so
-    every evaluated x is finite; once t rounds to 1 (|x| about 9e15,
-    after 26 points) the schedule ends, and a ray without a limit raises
-    NonConvergent there.
-    """
-    F = real_function(F)
+    """Limit of F along the ray toward +inf ("pos") or -inf ("neg"):
+    endpoint_limit at that end of the whole line, so F is evaluated at
+    +-t / (1 - t) as t -> 1-."""
     if sign not in ("pos", "neg"):
         raise ValueError("sign must be 'pos' or 'neg'")
-    s = 1.0 if sign == "pos" else -1.0
-
-    def G(t: float) -> float:
-        return F(s * t / (1.0 - t))
-
-    return _stalled_limit(G, 1.0, -1.0, _START_OFFSET, cfg,
-                          f"limit_at_infinity ({sign}) as x -> 1- in "
-                          f"F({'' if sign == 'pos' else '-'}x / (1 - x))")
+    return endpoint_limit(F, (-math.inf, math.inf),
+                          "upper" if sign == "pos" else "lower", cfg)
 
 
 # ---------------------------------------------------------------------------

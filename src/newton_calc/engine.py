@@ -2,13 +2,14 @@
 
 An integrand together with one of its antiderivatives is a
 :class:`PrimitivePair`; the integral over the stored open interval is
-``F(hi-) - F(lo+)``, both limits taken numerically by core's one limit
-kernel.  On top of that single definition this module provides executable
-forms of the classical rules: truncation limits (Hake, whose limit of
-truncated integrals is taken by the same kernel), linearity and interval
-additivity, monotone comparison, the ML bound, integration by parts, and
-the substitution rule.  Each rule is verified numerically and reported,
-never proven.
+``F(hi-) - F(lo+)``, both limits taken numerically by core.endpoint_limit,
+the one entry to the limit kernel.  On top of that single definition this
+module provides executable forms of the classical rules: truncation limits
+(Hake, whose limit of truncated integrals is the same entry's upper limit
+from the midpoint), linearity and interval additivity, monotone
+comparison, the ML bound, integration by parts (its boundary term [FG] the
+Newton integral of (fG + Fg, FG)), and the substitution rule.  Each rule
+is verified numerically and reported, never proven.
 
 Precondition checks (antiderivative consistency, pointwise order, range of
 a substitution) are sampled at Chebyshev-distributed points.  They detect
@@ -25,9 +26,8 @@ import numpy as np
 
 from .builder import PiecewisePrimitive
 from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig, LimitResult,
-                   NewtonCalcError, RealFunction, _START_OFFSET,
-                   _stalled_limit, as_interval, chebyshev_samples,
-                   limit_at_infinity, real_function)
+                   NewtonCalcError, RealFunction, as_interval,
+                   chebyshev_samples, endpoint_limit, real_function)
 
 __all__ = [
     "PrimitivePair",
@@ -168,37 +168,6 @@ class IdentityReport:
 # the integral itself
 # ---------------------------------------------------------------------------
 
-def _inward_start(near: float, far: float, start: float) -> float:
-    """start, halved while the schedule's first point from the finite end
-    near toward far does not fall short of far.  On an interval a few ulps
-    wide, near + half the length can round onto far; a first point that
-    rounds onto near ends the schedule in the kernel before any call."""
-    sign = 1.0 if far > near else -1.0
-    while sign * (far - (near + sign * start)) <= 0.0:
-        start *= 0.5
-    return start
-
-
-def _endpoint_limit(F: RealFunction, iv: Interval, which: str,
-                    cfg: LimitConfig) -> LimitResult:
-    """F's limit at iv's lower or upper end, from inside iv: a finite
-    end's schedule starts at most half iv's length away (less where that
-    point would not lie inside iv), and a ray's runs outward from the
-    other end, or from 0 when that end lies beyond it."""
-    start = min(_START_OFFSET, 0.5 * iv.length)
-    if which == "lower":
-        if math.isinf(iv.a):
-            base = min(iv.b, 0.0)
-            return limit_at_infinity(lambda x: F(base + x), "neg", cfg)
-        return _stalled_limit(F, iv.a, 1.0, _inward_start(iv.a, iv.b, start),
-                              cfg, f"one_sided_limit at {iv.a!r} (right)")
-    if math.isinf(iv.b):
-        base = max(iv.a, 0.0)
-        return limit_at_infinity(lambda x: F(base + x), "pos", cfg)
-    return _stalled_limit(F, iv.b, -1.0, _inward_start(iv.b, iv.a, start),
-                          cfg, f"one_sided_limit at {iv.b!r} (left)")
-
-
 def newton_integral(pair: PrimitivePair,
                     cfg: LimitConfig = DEFAULT_LIMIT_CONFIG,
                     reverse: bool = False) -> IntegralResult:
@@ -208,8 +177,8 @@ def newton_integral(pair: PrimitivePair,
     exact negation of the forward value.  A NonConvergent endpoint limit
     means the integral is undefined for this antiderivative and schedule.
     """
-    lower = _endpoint_limit(pair.primitive, pair.domain, "lower", cfg)
-    upper = _endpoint_limit(pair.primitive, pair.domain, "upper", cfg)
+    lower = endpoint_limit(pair.primitive, pair.domain, "lower", cfg)
+    upper = endpoint_limit(pair.primitive, pair.domain, "upper", cfg)
     value = upper.value - lower.value
     if reverse:
         value = -value
@@ -222,10 +191,10 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG
     """Full-interval integral versus the limit of truncated integrals.
 
     Each truncated integral is F(c) - F(lo+), with F(lo+) the full
-    integral's lower limit, and the limit kernel takes them as c -> hi,
-    like any endpoint limit: toward a finite b at offsets
-    (b - a) / 2 / 4**k from the midpoint (from b - 1 on (-inf, b)), toward
-    +inf along limit_at_infinity's ray from max(a, 0).
+    integral's lower limit, and endpoint_limit takes them as c -> hi,
+    like any upper limit: toward a finite b from the midpoint, at offsets
+    (b - a) / 2 / 4**k (from b - 1 on (-inf, b)), toward +inf along its
+    ray.
     """
     full = newton_integral(pair, cfg)
     a, b = pair.domain
@@ -233,14 +202,8 @@ def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG
     def truncated(c: float) -> float:
         return pair.primitive(c) - full.lower_limit.value
 
-    if math.isinf(b):
-        rhs = limit_at_infinity(lambda x: truncated(max(a, 0.0) + x), "pos",
-                                cfg)
-    else:
-        start = _inward_start(b, a, 0.5 * (b - a) if math.isfinite(a)
-                              else 1.0)
-        rhs = _stalled_limit(truncated, b, -1.0, start, cfg,
-                             "hake_check: truncated integrals")
+    rhs = endpoint_limit(truncated, pair.domain, "upper", cfg,
+                         start=0.5 * (b - a) if math.isfinite(a) else 1.0)
     return IdentityReport.equality(full.value, rhs.value, IDENTITY_TOLERANCE)
 
 
@@ -392,13 +355,12 @@ def integrate_by_parts(F: Union[RealFunction, Callable[[float], float]],
     def FG(x: float) -> float:
         return F(x) * G(x)
 
-    lhs = newton_integral(PrimitivePair(RealFunction(fG), fG_primitive, iv),
-                          cfg).value
-    boundary_hi = _endpoint_limit(RealFunction(FG), iv, "upper", cfg)
-    boundary_lo = _endpoint_limit(RealFunction(FG), iv, "lower", cfg)
-    rhs_integral = newton_integral(
-        PrimitivePair(RealFunction(Fg), Fg_primitive, iv), cfg).value
-    rhs = (boundary_hi.value - boundary_lo.value) - rhs_integral
+    lhs = newton_integral(PrimitivePair(fG, fG_primitive, iv), cfg).value
+    boundary = newton_integral(
+        PrimitivePair(lambda x: fG(x) + Fg(x), FG, iv), cfg).value
+    rhs_integral = newton_integral(PrimitivePair(Fg, Fg_primitive, iv),
+                                   cfg).value
+    rhs = boundary - rhs_integral
     return IdentityReport.equality(lhs, rhs, IDENTITY_TOLERANCE)
 
 

@@ -403,8 +403,11 @@ def decay_bounded_fubini(f, c: float,
     Truncates the quadrant at each schedule point; the exterior of [0,b]^2
     carries at most c * 2/b in absolute value (integrate the envelope over
     {max(x,y) > b}).  Returns the final report plus the (b, xy, yx) history.
+    ValueError unless c > 0.
     """
     f = bivariate(f)
+    if not c > 0.0:
+        raise ValueError(f"decay constant must be positive, got {c!r}")
     schedule = sorted(float(b) for b in truncation_schedule)
     if not schedule:
         raise ValueError("truncation_schedule must be nonempty")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +36,13 @@ class UnknownFunction(NewtonCalcError):
 
 @dataclass(frozen=True)
 class NamedFunction:
-    """A registry integrand, labelled by its id, and its closed-form
-    antiderivative if it has one."""
+    """A registry integrand, labelled by its id, its closed-form
+    antiderivative if it has one, and the open intervals (a, b) on which
+    that antiderivative holds."""
 
     fn: RealFunction
     primitive: Optional[RealFunction]
+    domains: Tuple[Tuple[float, float], ...]
 
 
 def _xlogx_minus_x(x: float) -> float:
@@ -54,28 +56,31 @@ def _log1p_primitive(x: float) -> float:
 REGISTRY: Dict[str, NamedFunction] = {}
 
 
-def _register(id_: str, fn, vec, primitive, pvec) -> None:
+def _register(id_: str, fn, vec, primitive, pvec,
+              domains=((-math.inf, math.inf),)) -> None:
     REGISTRY[id_] = NamedFunction(
         fn=RealFunction(fn, label=id_, vector_fn=vec),
         primitive=None if primitive is None else RealFunction(
-            primitive, label=id_ + "-antiderivative", vector_fn=pvec))
+            primitive, label=id_ + "-antiderivative", vector_fn=pvec),
+        domains=domains)
 
 
 _register("cos", math.cos, np.cos, math.sin, np.sin)
 _register("sin", math.sin, np.sin,
           lambda x: -math.cos(x), lambda xs: -np.cos(xs))
-_register("log", math.log, np.log, _xlogx_minus_x,               # x > 0
-          lambda xs: xs * np.log(xs) - xs)
-_register("log1p", math.log1p, np.log1p, _log1p_primitive,       # x > -1
-          lambda xs: (1.0 + xs) * np.log1p(xs) - xs)
+_register("log", math.log, np.log, _xlogx_minus_x,
+          lambda xs: xs * np.log(xs) - xs, ((0.0, math.inf),))
+_register("log1p", math.log1p, np.log1p, _log1p_primitive,
+          lambda xs: (1.0 + xs) * np.log1p(xs) - xs, ((-1.0, math.inf),))
 _register("exp-neg", lambda x: math.exp(-x), lambda xs: np.exp(-xs),
           lambda x: -math.exp(-x), lambda xs: -np.exp(-xs))
 # no closed-form antiderivative: the CLI builds one on finite intervals
 _register("exp-neg-square", lambda x: math.exp(-x * x),
           lambda xs: np.exp(-xs * xs), None, None)
-_register("reciprocal-square", lambda x: 1.0 / (x * x),          # x != 0
+_register("reciprocal-square", lambda x: 1.0 / (x * x),
           lambda xs: 1.0 / (xs * xs),
-          lambda x: -1.0 / x, lambda xs: -1.0 / xs)
+          lambda x: -1.0 / x, lambda xs: -1.0 / xs,
+          ((-math.inf, 0.0), (0.0, math.inf)))
 _register("identity", lambda x: x, lambda xs: xs,
           lambda x: 0.5 * x * x, lambda xs: 0.5 * xs * xs)
 _register("one", lambda x: 1.0, lambda xs: np.ones_like(xs),
@@ -95,13 +100,20 @@ def get_function(id_: str) -> NamedFunction:
 
 
 def pair_for(id_: str, lo: float, hi: float) -> PrimitivePair:
-    """PrimitivePair for a registry id that carries a closed-form antiderivative."""
+    """PrimitivePair for a registry id that carries a closed-form
+    antiderivative; ValueError where (lo, hi) lies in none of the
+    intervals on which that antiderivative holds."""
     nf = get_function(id_)
     if nf.primitive is None:
         raise UnknownFunction(
             f"function {id_!r} has no closed-form antiderivative; "
             f"build one on a finite interval instead")
-    return PrimitivePair(nf.fn, nf.primitive, Interval(lo, hi))
+    iv = Interval(lo, hi)
+    if not any(a <= iv.a and iv.b <= b for a, b in nf.domains):
+        raise ValueError(
+            f"({lo!r}, {hi!r}) lies outside the domain of {id_!r}: "
+            + " or ".join(f"({a!r}, {b!r})" for a, b in nf.domains))
+    return PrimitivePair(nf.fn, nf.primitive, iv)
 
 
 # ---------------------------------------------------------------------------

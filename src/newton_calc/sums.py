@@ -103,6 +103,14 @@ class AsymptoticRecord:
     abs_error: float
     predicted_bound: float
 
+    @property
+    def within_bound(self) -> bool:
+        """abs_error <= predicted_bound, up to 4 ulps of the larger value
+        compared: both values are rounded, and at large n (7e6 on the sum
+        route) a bound C/n falls below their rounding."""
+        scale = max(abs(self.log_factorial_exact), abs(self.approximation))
+        return self.abs_error <= self.predicted_bound + 4.0 * math.ulp(scale)
+
 
 # ---------------------------------------------------------------------------
 # the basic monotone estimate

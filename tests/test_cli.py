@@ -208,6 +208,31 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fid, domain", [
+    ("reciprocal-square", "(-inf, 0.0) or (0.0, inf)"),
+    ("log", "(0.0, inf)"),
+])
+def test_integral_outside_the_primitive_domain_exits_64(capsys, fid, domain):
+    # -1/x is no primitive of 1/x^2 across 0, and log has none below 0:
+    # a value there would be wrong, not merely inaccurate
+    code, text = run_cli("integrate", "--function-id", fid,
+                         "--lo=-1", "--hi", "1")
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and text == ""
+    assert line == (f"newton-calc: (-1.0, 1.0) lies outside the domain of "
+                    f"{fid!r}: {domain}")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("reciprocal-square", "--lo=-3", "--hi=-1"), 2.0 / 3.0),
+    (("log", "--lo", "0", "--hi", "1"), -1.0),
+])
+def test_integral_inside_a_primitive_domain(argv, value):
+    code, text = run_cli("integrate", "--function-id", *argv)
+    assert code == EXIT_OK
+    assert abs(float(text.splitlines()[1].split(",")[3]) - value) <= 1e-9
+
+
 def test_unknown_function_exits_64():
     code, _ = run_cli("integrate", "--function-id", "nope",
                       "--lo", "0", "--hi", "1")
@@ -230,6 +255,10 @@ def test_usage_error_exits_64(capsys):
     "fubini --case rect --bounds 0 1 0 inf",
     "sumint --function-id log --a 5 --b 2",
     "wallis --n-max -3",
+    "integrate --function-id reciprocal-square --lo=-1 --hi 1",
+    "integrate --function-id log --lo=-1 --hi 1",
+    "fubini --case decay --decay-constant -1",
+    "fubini --case decay --decay-constant 0",
 ])
 def test_out_of_range_argument_exits_64(capsys, argv):
     try:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from newton_calc.core import (DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG,
                               EvaluationFailure, Interval, LimitConfig,
                               NonConvergent, RealFunction, chebyshev_samples,
-                              limit_at_infinity, one_sided_limit)
-from newton_calc.engine import PrimitivePair, newton_integral
+                              endpoint_limit, limit_at_infinity,
+                              one_sided_limit)
+from newton_calc.engine import PrimitivePair, hake_check, newton_integral
 
 
 def test_sin_limit_at_pi_half():
@@ -146,6 +147,75 @@ def test_ray_schedule_starts_inside_the_interval(sign):
                          RealFunction(F), iv)
     assert abs(newton_integral(pair).value - 0.02) <= 1e-15
     assert all(iv.contains(x) for x in seen)
+
+
+def _spied_atan(seen):
+    def F(x):
+        seen.append(x)
+        return math.atan(x)
+
+    return F
+
+
+@pytest.mark.parametrize("iv, end", [
+    (Interval(0.25, 2.0), "lower"),
+    (Interval(0.25, 2.0), "upper"),
+    (Interval(-math.inf, -3.0), "lower"),
+    (Interval(3.0, math.inf), "upper"),
+])
+def test_endpoint_limit_evaluates_only_inside(iv, end):
+    # finite and infinite ends, lower and upper: each point F sees lies
+    # strictly inside iv, so the end itself is never evaluated
+    seen = []
+    res = endpoint_limit(_spied_atan(seen), iv, end)
+    expected = math.atan(iv.a if end == "lower" else iv.b)
+    assert res.converged and abs(res.value - expected) <= 1e-9
+    assert len(seen) == res.steps_used
+    assert all(iv.a < x < iv.b for x in seen)
+
+
+@pytest.mark.parametrize("iv, end, base", [
+    (Interval(5.0, math.inf), "upper", 5.0),
+    (Interval(-math.inf, -5.0), "lower", -5.0),
+    (Interval(-5.0, math.inf), "upper", 0.0),
+    (Interval(-math.inf, 5.0), "lower", 0.0),
+])
+def test_ray_starts_from_the_finite_end_beyond_zero(iv, end, base):
+    # x = base +- t / (1 - t) from t = 0.9: base is a on (a, inf) with
+    # a > 0 and b on (-inf, b) with b < 0, else 0
+    seen = []
+    endpoint_limit(_spied_atan(seen), iv, end)
+    out = 1.0 if end == "upper" else -1.0
+    assert seen[0] == base + out * 0.9 / (1.0 - 0.9)
+    assert all(out * (x - seen[0]) >= 0.0 for x in seen)
+
+
+@pytest.mark.parametrize("iv, midpoint", [(Interval(1.0, 2.0), 1.5),
+                                          (Interval(-math.inf, 0.0), -1.0)])
+def test_hake_first_truncation_point_is_the_midpoint(iv, midpoint):
+    # hake_check's start is half the length (1 on (-inf, b)), where an
+    # integral's upper limit starts at most 0.1 from b
+    seen = []
+    pair = PrimitivePair(RealFunction(lambda x: 1.0 / (1.0 + x * x)),
+                         RealFunction(_spied_atan(seen)), iv)
+    full = newton_integral(pair)
+    seen.clear()
+    assert hake_check(pair).holds
+    steps = full.lower_limit.steps_used + full.upper_limit.steps_used
+    assert seen[steps] == midpoint
+
+
+@pytest.mark.parametrize("lo", [1e-300, 1.0, -3.0])
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_endpoint_limit_on_a_one_ulp_interval_evaluates_nothing(lo, end):
+    # no float lies strictly inside: the first point is cut until it no
+    # longer reaches the far end, rounds onto the near one, and the
+    # schedule ends before any call
+    hi = math.nextafter(lo, math.inf)
+    seen = []
+    with pytest.raises(NonConvergent):
+        endpoint_limit(_spied_atan(seen), Interval(lo, hi), end)
+    assert seen == []
 
 
 @pytest.mark.parametrize("c", [1e7, -1e9, 1e10])

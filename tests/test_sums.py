@@ -192,6 +192,14 @@ def test_d1000_close_to_root_two_pi():
     assert rec.abs_error <= rec.predicted_bound
 
 
+def test_large_n_error_is_within_the_bound_up_to_rounding():
+    # at n = 7e6 the bound C/n (1.8e-8) is below one ulp of log n! (1.5e-8),
+    # and the error is 2 ulps; within_bound allows 4 ulps of rounding
+    _d, rec = incomplete_stirling(7_000_000)
+    assert rec.abs_error > rec.predicted_bound
+    assert rec.within_bound
+
+
 def test_monotone_approach():
     root = math.sqrt(2.0 * math.pi)
     for n in (10, 100, 1000):

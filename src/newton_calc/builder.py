@@ -119,10 +119,6 @@ class PiecewisePrimitive:
         return len(self.gap_history)
 
     @property
-    def cauchy_delta(self) -> float:
-        return self.gap_history[-1] if self.gap_history else math.inf
-
-    @property
     def piece_count(self) -> int:
         return len(self.half_u)
 
@@ -139,8 +135,6 @@ class PiecewisePrimitive:
         if not (a <= x <= b):
             raise OutOfDomain(f"{x!r} outside [{a!r}, {b!r}]")
         return _cubic(self._pieces, x)
-
-    __call__ = evaluate
 
     def many(self, xs) -> np.ndarray:
         """evaluate at every point of xs, with the same OutOfDomain."""

@@ -2,21 +2,24 @@
 
 Nothing in this package ever partitions an interval to integrate: every
 integral is the difference of two endpoint limits of an antiderivative.
-This module takes each of them through one entry, endpoint_limit (F's
-limit at an end of an open interval, from inside it), and one kernel,
-_stalled_limit, with one schedule and one stall rule; one_sided_limit and
-limit_at_infinity are endpoint_limit at an end of a ray or of the whole
-line.  A finite end is approached at offsets 0.1 / 4**k (from at most half
-the interval's length, so no point leaves it; Hake's truncations from half
-of it); an infinite one is the same one-sided limit at t = 1- of
-G(t) = F(base +- t / (1 - t)), so a ray has no schedule of its own.  A limit
-counts as found only after three consecutive steps move the Richardson
-extrapolate by no more than the stall tolerance (a single small delta is
-too easy to hit by accident on an oscillating function).  Near an
-endpoint of large magnitude, where the points are rounded to a coarse
-grid, the extrapolate uses the actual offsets, so smooth limits are
-found up to |endpoint| of about 1e10; on a ray every x is finite, at
-most about 9e15.
+This module takes each of them through one entry, endpoint_limit (F's limit
+at an end of an open interval, from inside it), and one kernel,
+_stalled_limit, with one schedule and one stall rule.  A limit at an
+infinite end is endpoint_limit on a ray or on the whole line.
+one_sided_limit, the limit at a finite point from one side, is
+endpoint_limit at the finite end of a ray; it stays because
+builder.ray_integral takes g(1), its integrand's limit at t = 1-, through
+it, and perfbench/spans.py counts limit steps there.  A finite end is
+approached at offsets 0.1 / 4**k (from at most half the interval's length,
+so no point leaves it; Hake's truncations from half of it); an infinite one
+is the same one-sided limit at t = 1- of G(t) = F(base +- t / (1 - t)), so
+a ray has no schedule of its own.  A limit counts as found only after three
+consecutive steps move the Richardson extrapolate by no more than the stall
+tolerance (a single small delta is too easy to hit by accident on an
+oscillating function).  Near an endpoint of large magnitude, where the
+points are rounded to a coarse grid, the extrapolate uses the actual
+offsets, so smooth limits are found up to |endpoint| of about 1e10; on a
+ray every x is finite, at most about 9e15.
 
 All arithmetic is binary64.  Every operation here is pure given pure
 inputs, so concurrent use needs no locking.
@@ -44,7 +47,6 @@ __all__ = [
     "PRECISE_LIMIT_CONFIG",
     "endpoint_limit",
     "one_sided_limit",
-    "limit_at_infinity",
     "chebyshev_samples",
 ]
 
@@ -214,7 +216,8 @@ _RATIO_SLACK = 2.0 ** -26 * _APPROACH_FACTOR
 
 def _stalled_limit(F: Callable[[float], float], endpoint: float,
                    sign: float, start: float, cfg: LimitConfig,
-                   what: str) -> LimitResult:
+                   what: Callable[[], str],
+                   x_of: Callable[[float], float]) -> LimitResult:
     """The limit kernel: F's limit at ``endpoint`` from the side ``sign``.
 
     F is evaluated at endpoint + sign * start / 4**k, k < 60, one
@@ -229,7 +232,9 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
     summing to 1, so it converges wherever they do.  The schedule ends,
     without a limit, at the first point equal to the endpoint or to the
     previous point: F is never evaluated at the endpoint, and a schedule
-    that stopped moving cannot fake a stall.
+    that stopped moving cannot fake a stall.  An error starts with what()
+    and names x_of(x), where the caller's function was evaluated; both run
+    only on the way to raising.
     """
     h1 = v1 = r1_prev = prev = None  # last offset, value, R1 and R2
     q_prev = _APPROACH_FACTOR
@@ -244,11 +249,11 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
         try:
             val = F(x)
         except (ArithmeticError, ValueError) as exc:
-            raise EvaluationFailure(
-                f"{what}: function raised {exc!r} at x={x!r}") from exc
+            raise EvaluationFailure(f"{what()}: function raised {exc!r} "
+                                    f"at x={x_of(x)!r}") from exc
         if not math.isfinite(val):
-            raise EvaluationFailure(
-                f"{what}: function returned {val!r} at x={x!r}")
+            raise EvaluationFailure(f"{what()}: function returned {val!r} "
+                                    f"at x={x_of(x)!r}")
         if h1 is not None:
             q = h1 / h
             if abs(q - _APPROACH_FACTOR) <= _RATIO_SLACK:
@@ -268,7 +273,7 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
             r1_prev, q_prev = r1, q
         h1, v1 = h, val
     raise NonConvergent(
-        f"{what}: no stall within {steps} steps "
+        f"{what()}: no stall within {steps} steps "
         f"(last delta {last_delta:.3e})",
         last_value=prev, last_delta=last_delta, steps_used=steps)
 
@@ -291,28 +296,33 @@ def endpoint_limit(F: Union[RealFunction, Callable[[float], float]],
     once t rounds to 1 (after 26 points) the schedule ends.  Raises
     NonConvergent when the deltas never stall or the schedule stops moving
     first, and EvaluationFailure on NaN, overflow or an
-    ArithmeticError/ValueError from F anywhere in the schedule.
+    ArithmeticError/ValueError from F anywhere in the schedule; either
+    message names the limit, as in "upper limit of F on (1.0, 2.0) at 2.0".
     """
     F, iv = real_function(F), as_interval(iv)
     if end not in ("lower", "upper"):
         raise ValueError("end must be 'lower' or 'upper'")
     up = end == "upper"
     out, near, far = (1.0, iv.b, iv.a) if up else (-1.0, iv.a, iv.b)
+
+    def what() -> str:
+        return f"{end} limit of F on ({iv.a!r}, {iv.b!r}) at {near!r}"
+
     if math.isinf(near):
         base = max(far, 0.0) if up else min(far, 0.0)
 
-        def G(t: float) -> float:
-            return F(base + out * t / (1.0 - t))
+        def x_of(t: float) -> float:
+            return base + out * t / (1.0 - t)
 
-        return _stalled_limit(
-            G, 1.0, -1.0, _START_OFFSET, cfg,
-            f"limit_at_infinity ({'pos' if up else 'neg'}) as x -> 1- in "
-            f"F({'' if up else '-'}x / (1 - x))")
+        def G(t: float) -> float:
+            return F(x_of(t))
+
+        return _stalled_limit(G, 1.0, -1.0, _START_OFFSET, cfg, what, x_of)
     start = min(start, 0.5 * iv.length)
     while out * (near - out * start - far) <= 0.0:
         start *= 0.5
-    return _stalled_limit(F, near, -out, start, cfg, f"one_sided_limit at "
-                          f"{near!r} ({'left' if up else 'right'})")
+    # F gets the schedule's own points: float maps each to itself
+    return _stalled_limit(F, near, -out, start, cfg, what, float)
 
 
 def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
@@ -326,18 +336,6 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
     if side == "right":
         return endpoint_limit(F, (endpoint, math.inf), "lower", cfg)
     raise ValueError("side must be 'left' or 'right'")
-
-
-def limit_at_infinity(F: Union[RealFunction, Callable[[float], float]],
-                      sign: str,
-                      cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> LimitResult:
-    """Limit of F along the ray toward +inf ("pos") or -inf ("neg"):
-    endpoint_limit at that end of the whole line, so F is evaluated at
-    +-t / (1 - t) as t -> 1-."""
-    if sign not in ("pos", "neg"):
-        raise ValueError("sign must be 'pos' or 'neg'")
-    return endpoint_limit(F, (-math.inf, math.inf),
-                          "upper" if sign == "pos" else "lower", cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,6 @@ class IdentityReport:
         residual = max(0.0, lhs - rhs)
         return cls(lhs, rhs, residual, tolerance, residual <= tolerance)
 
-    @classmethod
-    def within(cls, value: float, lo: float, hi: float,
-               tolerance: float) -> "IdentityReport":
-        """holds iff value lies in [lo - tolerance, hi + tolerance];
-        rhs is the nearest point of the window."""
-        nearest = min(max(value, lo), hi)
-        residual = abs(value - nearest)
-        return cls(value, nearest, residual, tolerance, residual <= tolerance)
-
 
 # ---------------------------------------------------------------------------
 # the integral itself

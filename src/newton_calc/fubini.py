@@ -43,7 +43,6 @@ __all__ = [
     "asymmetry_counterexample",
     "CounterexampleReport",
     "counterexample_family",
-    "counterexample_section_integral",
     "tail_constants",
     "bound_A_at",
     "bound_B_at",
@@ -562,15 +561,3 @@ def asymmetry_counterexample(X: float) -> CounterexampleReport:
     yx_partial = float(P_line.evaluate(X))
     return CounterexampleReport(truncation=X, order_xy_value=xy_value,
                                 order_yx_partial=yx_partial)
-
-
-def counterexample_section_integral(y: float) -> float:
-    """Integral over x in (0, 60) of the witness at a fixed y.
-
-    Finite for every y != 1 (the ridge width decays), and growing without
-    bound in the truncation at y = 1.
-    """
-    upper = 60.0
-    section = counterexample_family().transposed().section_at_x(y)
-    P = build_primitive(section, (0.0, upper), _CE_CFG)
-    return float(P.evaluate(upper))

@@ -42,7 +42,6 @@ __all__ = [
     "concentrate",
     "reduce_to_gauss",
     "gauss_integral",
-    "gauss_half_line",
     "stirling_via_laplace",
 ]
 
@@ -324,15 +323,6 @@ def gauss_integral() -> float:
     swap numerically at finite truncations.
     """
     return 2.0 * math.sqrt(_gauss_quarter())
-
-
-def gauss_half_line() -> float:
-    """Integral of exp(-t^2) over (0, inf), i.e. sqrt(_gauss_quarter()).
-
-    By the flipping substitution t -> -t the ray (-inf, 0) has the same
-    value.
-    """
-    return math.sqrt(_gauss_quarter())
 
 
 # ---------------------------------------------------------------------------

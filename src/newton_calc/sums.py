@@ -37,9 +37,7 @@ __all__ = [
     "AsymptoticRecord",
     "monotone_sum_vs_integral",
     "tail_constant",
-    "tail_bound_by_integral",
     "tail_bound_by_telescoping",
-    "log_strip_remainder",
     "strip_remainders_upto",
     "strip_constant",
     "log_factorial",
@@ -171,15 +169,6 @@ def monotone_sum_vs_integral(f: Union[RealFunction, Callable[[float], float]],
 # reciprocal-square tails
 # ---------------------------------------------------------------------------
 
-def tail_bound_by_integral(n: int) -> float:
-    """Integral of x^-2 over (n, inf), evaluated from the antiderivative -1/x."""
-    pair = PrimitivePair(
-        RealFunction(lambda x: 1.0 / (x * x), vector_fn=lambda xs: 1.0 / (xs * xs)),
-        RealFunction(lambda x: -1.0 / x, vector_fn=lambda xs: -1.0 / xs),
-        Interval(float(n), math.inf))
-    return newton_integral(pair).value
-
-
 def tail_bound_by_telescoping(n: int) -> float:
     """Integral-free route: m^-2 <= 1/((m-1) m), which telescopes to 1/n."""
     if n < 1:
@@ -220,17 +209,9 @@ def tail_constant(terms: Callable[[int], float], decay_scale: float,
 # strips of the logarithm and the first factorial expression
 # ---------------------------------------------------------------------------
 
-def log_strip_remainder(m: int) -> float:
-    """Integral of log over [m - 1/2, m + 1/2] minus log m, in closed form."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    hi = _xlogx_minus_x(m + 0.5)
-    lo = _xlogx_minus_x(m - 0.5)
-    return (hi - lo) - math.log(m)
-
-
 def strip_remainders_upto(n: int) -> np.ndarray:
-    """Vectorized log_strip_remainder for m = 1..n (index 0 is m = 1)."""
+    """Integral of log over [m - 1/2, m + 1/2] minus log m, in closed form,
+    for m = 1..n (index 0 is m = 1)."""
     m = np.arange(1, n + 1, dtype=float)
     hi = (m + 0.5) * np.log(m + 0.5) - (m + 0.5)
     lo = (m - 0.5) * np.log(m - 0.5) - (m - 0.5)

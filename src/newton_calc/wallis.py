@@ -22,7 +22,7 @@ import numpy as np
 
 from .builder import BuildConfig, build_primitive
 from .core import RealFunction
-from .engine import IdentityReport, newton_integral, pair_from_primitive
+from .engine import newton_integral, pair_from_primitive
 from .sums import log_factorial, log_factorial_table
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "wallis_integral",
     "wallis_closed_form",
     "log_wallis_closed_form",
-    "ratio_bounds_check",
     "sandwich_scan",
     "determine_stirling_constant",
     "three_way",
@@ -101,15 +100,6 @@ def log_wallis_closed_form(n: int) -> float:
 
 def wallis_closed_form(n: int) -> float:
     return math.exp(log_wallis_closed_form(n))
-
-
-def ratio_bounds_check(n: int) -> IdentityReport:
-    """Check n/(n+1) <= W_n / W_{n-1} <= 1, within 1e-12, through the
-    closed forms."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    ratio = math.exp(log_wallis_closed_form(n) - log_wallis_closed_form(n - 1))
-    return IdentityReport.within(ratio, n / (n + 1.0), 1.0, 1e-12)
 
 
 def sandwich_scan(n_max: int) -> bool:

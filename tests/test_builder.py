@@ -25,7 +25,7 @@ def test_linear_function_is_exact():
     P = build_primitive(lambda x: x, (0.0, 1.0))
     assert P.evaluate(1.0) == 0.5
     assert P.evaluate(0.0) == 0.0
-    assert P.cauchy_delta == 0.0
+    assert P.gap_history[-1] == 0.0
     # dyadic points: every step of the construction is exact
     for xs in (P.breakpoints, np.linspace(0.0, 1.0, 257)):
         assert np.array_equal(P.many(xs), 0.5 * xs * xs)
@@ -93,7 +93,7 @@ def test_quadratic_is_exact_from_the_first_split():
     P = build_primitive(lambda x: x * x, (0.0, 1.0))
     assert P.refinement_level == BuildConfig().min_refinement
     # each level is exact up to the rounding of its own piece cubics
-    assert P.cauchy_delta <= 2.0 ** -53
+    assert P.gap_history[-1] <= 2.0 ** -53
 
 
 def test_exp_neg_square_stall_level():
@@ -258,7 +258,6 @@ def test_serialization_roundtrip_is_exact():
     assert np.array_equal(P.many(xs), Q.many(xs))
     assert Q.gap_history == P.gap_history
     assert Q.refinement_level == P.refinement_level
-    assert Q.cauchy_delta == P.cauchy_delta
     with pytest.raises(ValueError, match="version 99"):
         loads(dumps(P).replace(f'"version": {builder.SERIALIZATION_VERSION}',
                                '"version": 99'))

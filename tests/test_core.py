@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from newton_calc.core import (DEFAULT_LIMIT_CONFIG, PRECISE_LIMIT_CONFIG,
                               EvaluationFailure, Interval, LimitConfig,
                               NonConvergent, RealFunction, chebyshev_samples,
-                              endpoint_limit, limit_at_infinity,
-                              one_sided_limit)
+                              endpoint_limit, one_sided_limit)
 from newton_calc.engine import PrimitivePair, hake_check, newton_integral
+
+LINE = (-math.inf, math.inf)
 
 
 def test_sin_limit_at_pi_half():
@@ -218,6 +219,43 @@ def test_endpoint_limit_on_a_one_ulp_interval_evaluates_nothing(lo, end):
     assert seen == []
 
 
+def test_limit_errors_name_the_limit_that_was_asked():
+    # hake_check's truncations are the upper limit on (1, 2), whose first
+    # point is the midpoint
+    def F(x):
+        if x == 1.5:
+            raise ValueError("hole")
+        return math.atan(x)
+
+    pair = PrimitivePair(RealFunction(lambda x: 1.0 / (1.0 + x * x)),
+                         RealFunction(F), Interval(1.0, 2.0))
+    with pytest.raises(EvaluationFailure) as info:
+        hake_check(pair)
+    assert str(info.value) == ("upper limit of F on (1.0, 2.0) at 2.0: "
+                               "function raised ValueError('hole') at x=1.5")
+
+
+def test_ray_errors_name_the_ray_and_the_point_f_got():
+    ray = Interval(2.0, math.inf)
+    with pytest.raises(NonConvergent,
+                       match=r"^upper limit of F on \(2\.0, inf\) at inf: "
+                             r"no stall within 26 steps"):
+        newton_integral(PrimitivePair(RealFunction(lambda x: 1.0),
+                                      RealFunction(lambda x: x), ray))
+    seen = []
+
+    def F(x):
+        seen.append(x)
+        return math.exp(x)
+
+    with pytest.raises(EvaluationFailure) as info:
+        endpoint_limit(F, ray, "upper")
+    assert str(info.value) == ("upper limit of F on (2.0, inf) at inf: "
+                               "function raised OverflowError('math range "
+                               f"error') at x={seen[-1]!r}")
+    assert seen[-1] > 2.0
+
+
 @pytest.mark.parametrize("c", [1e7, -1e9, 1e10])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_large_endpoint_extrapolates_in_the_actual_offsets(c, side):
@@ -257,13 +295,13 @@ def test_divergent_limit_raises():
 
 
 def test_exp_decay_limit_at_infinity():
-    res = limit_at_infinity(lambda x: -math.exp(-x), "pos")
+    res = endpoint_limit(lambda x: -math.exp(-x), LINE, "upper")
     assert res.converged
     assert abs(res.value) <= 1e-9
 
 
 def test_arctan_limit_at_infinity():
-    res = limit_at_infinity(math.atan, "pos")
+    res = endpoint_limit(math.atan, LINE, "upper")
     assert abs(res.value - math.pi / 2) <= 1e-9
 
 
@@ -274,7 +312,7 @@ def test_ray_schedule_is_drawn_lazily():
         calls.append(x)
         return -math.exp(-x)
 
-    res = limit_at_infinity(F, "pos")
+    res = endpoint_limit(F, LINE, "upper")
     assert res.converged
     assert len(calls) == res.steps_used
 
@@ -285,17 +323,17 @@ def test_algebraic_tail_at_infinity_is_extrapolated(F, value):
     # the ray is the limit at t = 1- of F(t / (1 - t)); the Richardson
     # columns in 1 - t = 1 / (1 + x) cancel the 1/x and 1/x^2 terms of
     # these tails, which the raw values only shed one step at a time
-    res = limit_at_infinity(F, "pos", PRECISE_LIMIT_CONFIG)
+    res = endpoint_limit(F, LINE, "upper", PRECISE_LIMIT_CONFIG)
     assert res.converged and res.steps_used <= 12
     assert abs(res.value - value) <= 1e-15
 
 
-@given(st.sampled_from(["pos", "neg"]),
+@given(st.sampled_from(["upper", "lower"]),
        st.sampled_from([math.sin, math.atan, math.tanh, abs,
                         lambda u: math.exp(-u * u)]),
        st.floats(1e-6, 1e6))
 @settings(max_examples=60, deadline=None)
-def test_ray_never_evaluates_infinity(sign, g, scale):
+def test_ray_never_evaluates_infinity(end, g, scale):
     # t = 1 would divide by zero and end in EvaluationFailure; every x
     # is finite and no farther out than 2^53, where 1 - t reaches the
     # spacing of the floats just below 1
@@ -306,17 +344,17 @@ def test_ray_never_evaluates_infinity(sign, g, scale):
         return g(scale * x)
 
     try:
-        limit_at_infinity(F, sign)
+        endpoint_limit(F, LINE, end)
     except NonConvergent:
         pass
     assert seen and all(math.isfinite(x) and abs(x) <= 2.0 ** 53
                         for x in seen)
-    assert all((x > 0) == (sign == "pos") for x in seen)
+    assert all((x > 0) == (end == "upper") for x in seen)
 
 
 def test_linear_growth_raises():
     with pytest.raises(NonConvergent):
-        limit_at_infinity(lambda x: x, "pos")
+        endpoint_limit(lambda x: x, LINE, "upper")
 
 
 def test_nan_is_hard_failure():
@@ -326,8 +364,8 @@ def test_nan_is_hard_failure():
 
 def test_overflow_is_hard_failure():
     with pytest.raises(EvaluationFailure):
-        limit_at_infinity(lambda x: math.exp(x) if x < 700 else float("inf"),
-                          "pos")
+        endpoint_limit(lambda x: math.exp(x) if x < 700 else float("inf"),
+                       LINE, "upper")
 
 
 @pytest.mark.parametrize("F, endpoint, side", [
@@ -354,8 +392,8 @@ def test_purity_bit_for_bit():
     first = one_sided_limit(math.sin, 1.0, "left")
     second = one_sided_limit(math.sin, 1.0, "left")
     assert first == second
-    va = limit_at_infinity(math.atan, "pos")
-    vb = limit_at_infinity(math.atan, "pos")
+    va = endpoint_limit(math.atan, LINE, "upper")
+    vb = endpoint_limit(math.atan, LINE, "upper")
     assert va.value == vb.value and va.steps_used == vb.steps_used
 
 

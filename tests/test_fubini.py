@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from newton_calc.builder import (BuildConfig, RefinementExhausted,
-                                 _dyadic_levels, _stalled)
+                                 _dyadic_levels, _stalled, build_primitive)
 from newton_calc.core import DecayViolation, EvaluationFailure, Interval
 from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
                                 BivariateFunction, _inner_values,
@@ -12,7 +12,6 @@ from newton_calc.fubini import (_DECAY_CFG, _INNER_CHUNK, RECT_CFG,
                                 asymmetry_counterexample,
                                 bound_A_at, bound_B_at,
                                 counterexample_family,
-                                counterexample_section_integral,
                                 decay_bounded_fubini,
                                 gaussian_half_line_built,
                                 inner_integral_function, iterated_rectangle,
@@ -350,10 +349,14 @@ def test_counterexample_xy_value_is_cauchy():
 
 
 def test_counterexample_off_peak_section_is_finite():
-    v = counterexample_section_integral(2.0)
+    def section_integral(y):
+        section = counterexample_family().transposed().section_at_x(y)
+        return build_primitive(section, (0.0, 60.0)).evaluate(60.0)
+
+    v = section_integral(2.0)
     assert abs(v - math.exp(-2.0)) <= 1e-6
     # the ridge contributes ~ exp(-x) per section width, all sections finite
-    assert counterexample_section_integral(0.5) < 2.0
+    assert section_integral(0.5) < 2.0
 
 
 def test_ridge_excess_matches_scalar_bisection():

@@ -19,7 +19,7 @@ PUBLIC = {
     "core": {"DEFAULT_LIMIT_CONFIG", "PRECISE_LIMIT_CONFIG",
              "EvaluationFailure", "Interval", "LimitConfig", "LimitResult",
              "NewtonCalcError", "NonConvergent", "RealFunction",
-             "limit_at_infinity", "one_sided_limit"},
+             "one_sided_limit"},
     "builder": {"BuildConfig", "PiecewisePrimitive", "RefinementExhausted",
                 "build_primitive", "derivative_check", "ray_integral"},
     "engine": {"IdentityReport", "IntegralResult", "PrimitivePair",
@@ -31,11 +31,10 @@ PUBLIC = {
                "iterated_rectangle", "special_infinite_fubini"},
     "sums": {"AsymptoticRecord", "SumIntegralReport", "TailConstantReport",
              "incomplete_stirling", "log_factorial",
-             "log_factorial_first_expression", "log_strip_remainder",
-             "monotone_sum_vs_integral", "tail_constant"},
+             "log_factorial_first_expression", "monotone_sum_vs_integral",
+             "tail_constant"},
     "wallis": {"WallisValue", "determine_stirling_constant",
-               "ratio_bounds_check", "wallis_closed_form", "wallis_integral",
-               "wallis_recurrence"},
+               "wallis_closed_form", "wallis_integral", "wallis_recurrence"},
     "laplace": {"ConcentrationBudget", "LaplaceConfig", "concentrate",
                 "gamma_integral", "gauss_integral", "reduce_to_gauss",
                 "stirling_via_laplace"},

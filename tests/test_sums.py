@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from newton_calc.core import DecayViolation, RealFunction
+from newton_calc.engine import newton_integral
+from newton_calc.functions import pair_for
 from newton_calc.sums import (NotMonotone, log_factorial,
                               log_factorial_first_expression,
-                              log_factorial_table, log_strip_remainder,
-                              incomplete_stirling, monotone_sum_vs_integral,
+                              log_factorial_table, incomplete_stirling,
+                              monotone_sum_vs_integral,
                               stirling_constant_estimate, strip_constant,
-                              strip_remainders_upto, tail_bound_by_integral,
+                              strip_remainders_upto,
                               tail_bound_by_telescoping, tail_constant)
 from newton_calc.wallis import determine_stirling_constant
 
@@ -90,7 +92,8 @@ def test_report_composition_over_adjacent_ranges():
 
 def test_tail_bounds_cross_check():
     for n in (10, 100, 1000):
-        by_integral = tail_bound_by_integral(n)
+        by_integral = newton_integral(
+            pair_for("reciprocal-square", n, math.inf)).value
         by_telescoping = tail_bound_by_telescoping(n)
         assert abs(by_integral - by_telescoping) <= 1e-9
 
@@ -109,7 +112,8 @@ def test_tail_constant_zero_terms():
 
 
 def test_tail_constant_strip_remainders():
-    rep = tail_constant(log_strip_remainder, 0.05, 100, 10000)
+    r = strip_remainders_upto(10000)
+    rep = tail_constant(lambda m: float(r[m - 1]), 0.05, 100, 10000)
     assert rep.holds
     assert abs(rep.c_estimate + strip_constant()) <= 1e-4
 
@@ -124,13 +128,13 @@ def test_tail_constant_decay_violation():
 # ---------------------------------------------------------------------------
 
 def test_strip_remainder_m1():
-    assert log_strip_remainder(1) == pytest.approx(-0.045228747557780724,
-                                                   abs=1e-15)
+    assert strip_remainders_upto(1)[0] == pytest.approx(
+        -0.045228747557780724, abs=1e-15)
 
 
 def test_strip_remainder_asymptote():
     # numerical extrapolation: m^2 r(m) approaches -1/24
-    assert abs(log_strip_remainder(100) * 100 ** 2 - (-1.0 / 24.0)) \
+    assert abs(strip_remainders_upto(100)[99] * 100 ** 2 - (-1.0 / 24.0)) \
         <= 0.02 * (1.0 / 24.0)
 
 
@@ -139,7 +143,7 @@ def test_strip_remainders_negative_and_bounded():
     assert np.all(r < 0.0)
     m = np.arange(1, 10001, dtype=float)
     assert np.all(np.abs(r) <= 0.05 / (m * m))
-    assert r[0] == pytest.approx(log_strip_remainder(1), abs=1e-16)
+    assert r[0] == pytest.approx(-0.045228747557780724, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------

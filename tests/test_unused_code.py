@@ -184,3 +184,42 @@ def test_no_environment_read_in_src():
                            and _is_blas_default(node, parents))):
                 reads.append(f"{path.name}:{node.lineno}: os.{node.attr}")
     assert reads == []
+
+
+# public names that only tests reach, kept on purpose: each measures an
+# acceptance criterion or is a step of the paper's derivation whose test
+# asserts the paper's claim
+_TEST_ONLY = {
+    "derivative_check": "test_builder.py::test_derivative_check_bounds",
+    "sandwich_scan": "test_wallis.py::test_sandwich_full_scan",
+    "tail_constant": "test_sums.py::test_tail_constant_reciprocal_squares",
+    "log_factorial_first_expression":
+        "test_sums.py::test_first_expression_records",
+    "determine_stirling_constant":
+        "test_wallis.py::test_stirling_constant_convergence",
+}
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a use is any load of the name, bare or as an attribute; the
+    # definition and the __all__ and _EXPORTS strings are not loads (the
+    # package's own __all__ is the union of _EXPORTS)
+    used = set()
+    for path in PRODUCTION:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(name for path in SRC if path.name != "__init__.py"
+                    for name in _exported(_parse(path)) if name not in used)
+    assert unused == sorted(_TEST_ONLY)
+
+
+def test_each_name_kept_for_tests_is_used_by_its_test():
+    for name, test in _TEST_ONLY.items():
+        module, _, function = test.partition("::")
+        body = next(n for n in _parse(ROOT / "tests" / module).body
+                    if isinstance(n, ast.FunctionDef) and n.name == function)
+        assert name in {n.id for n in ast.walk(body)
+                        if isinstance(n, ast.Name)}, test

@@ -5,8 +5,8 @@ import pytest
 
 from newton_calc.sums import incomplete_stirling
 from newton_calc.wallis import (determine_stirling_constant,
-                                log_wallis_closed_form, ratio_bounds_check,
-                                sandwich_scan, three_way, wallis_closed_form,
+                                log_wallis_closed_form, sandwich_scan,
+                                three_way, wallis_closed_form,
                                 wallis_integral, wallis_recurrence)
 
 from oracles import cos_by_power_series
@@ -48,15 +48,16 @@ def test_three_way_agreement():
 
 
 def test_ratio_bounds():
-    rep = ratio_bounds_check(2)
-    assert rep.holds
-    assert rep.lhs == pytest.approx((math.pi / 4) / 1.0, rel=1e-12)
-    rep3 = ratio_bounds_check(3)
-    assert rep3.lhs == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
-    assert rep3.holds
-    big = ratio_bounds_check(10 ** 4)
-    assert big.holds
-    assert abs(big.lhs - 1.0) <= 1e-4
+    # n/(n+1) <= W_n / W_(n-1) <= 1 within 1e-12, through the closed forms
+    def ratio(n):
+        return math.exp(log_wallis_closed_form(n)
+                        - log_wallis_closed_form(n - 1))
+
+    for n in (2, 3, 10 ** 4):
+        assert n / (n + 1.0) - 1e-12 <= ratio(n) <= 1.0 + 1e-12
+    assert ratio(2) == pytest.approx((math.pi / 4) / 1.0, rel=1e-12)
+    assert ratio(3) == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
+    assert abs(ratio(10 ** 4) - 1.0) <= 1e-4
 
 
 def test_monotone_decrease():

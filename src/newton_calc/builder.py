@@ -17,9 +17,9 @@ With quadratic pieces that gap shrinks about 16x per level on smooth
 integrands (4x with linear pieces).
 
 The refinement kernel (``_dyadic_levels``) and the mesh stall rule
-(``_stalled``) are shared with ``fubini``'s inner integrals.  The builder
-starts the kernel at level 0; the inner integrals start it at their floor
-level, so that every node below the floor is evaluated in one call.
+(``_stalled``) are shared with ``fubini``'s inner integrals.  Both start
+the kernel at the lowest level that can stall (``min_refinement``, the
+inner floor), so the nodes up to it are evaluated in one call.
 
 The result vanishes exactly at the left endpoint (the first ``w`` is 0).
 """
@@ -194,26 +194,41 @@ def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
                    a: float, b: float, label: str, first: int
                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield (level, nodes, new_values) on the dyadic meshes of [a, b], for
-    levels first..MAX_REFINEMENT.
-
-    nodes is the level's whole mesh, from the same midpoint recursion at
-    every first.  new_values holds the integrand at the level's new nodes,
-    the last axis running over them (one row from f.many, or 2-D grid
-    rows): at level first that is every node, in one evaluate call; after
-    it, nodes[1::2].  evaluate runs lazily, when the next level is
-    requested.  Non-finite values raise EvaluationFailure."""
-    nodes = np.array([a, b], dtype=float)
+    levels 0..MAX_REFINEMENT: the level's whole mesh, from one midpoint
+    recursion, and the integrand at the nodes it adds (both ends, then
+    nodes[1::2]) on the last axis (one f.many row, or 2-D grid rows).
+    The first request evaluates level first's mesh in one call and cuts
+    levels 0..first from it (level k's new nodes are every 2s-th node from
+    s = 2**(first - k)); later levels evaluate lazily.  Each level is
+    checked as it is yielded, so EvaluationFailure names the node that
+    level-by-level evaluation would; should the one call raise, levels
+    0..first evaluate their own nodes, to raise where that would too."""
+    floor = np.array([a, b], dtype=float)
+    for _ in range(first):
+        floor = _interleaved(floor, 0.5 * (floor[:-1] + floor[1:]))
+    try:
+        values = evaluate(floor)
+    except Exception:
+        values = None
     for level in range(MAX_REFINEMENT + 1):
-        if level > 0:
-            mids = 0.5 * (nodes[:-1] + nodes[1:])
-            new_nodes = np.empty(2 * len(nodes) - 1, dtype=float)
-            new_nodes[0::2] = nodes
-            new_nodes[1::2] = mids
-            nodes = new_nodes
-        if level == first:
-            yield level, nodes, _finite(evaluate(nodes), nodes, label)
-        elif level > first:
-            yield level, nodes, _finite(evaluate(mids), mids, label)
+        if level <= first:
+            s = 1 << (first - level)
+            at = slice(0, None, s) if level == 0 else slice(s, None, 2 * s)
+            nodes, new_nodes = floor[::s], floor[at]
+            # contiguous, so it sums in the (pairwise) order of a fresh block
+            new = (evaluate(new_nodes) if values is None
+                   else np.ascontiguousarray(values[..., at]))
+        else:
+            new_nodes = 0.5 * (nodes[:-1] + nodes[1:])
+            nodes, new = _interleaved(nodes, new_nodes), evaluate(new_nodes)
+        yield level, nodes, _finite(new, new_nodes, label)
+
+
+def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """even at the even indices and odd (one shorter) at the odd ones."""
+    out = np.empty(2 * len(even) - 1, dtype=float)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
 def _stalled(gaps: Sequence[Union[float, np.ndarray]], target: float,
@@ -221,10 +236,9 @@ def _stalled(gaps: Sequence[Union[float, np.ndarray]], target: float,
     """Mesh stall, elementwise: gaps[k-1] holds level k's gap (a float, or
     one gap per row); a row stalls when its last `runs` gaps are within
     target, at a level of at least min_level.  Returns a bool per row."""
-    gaps = np.asarray(gaps, dtype=float)
     if len(gaps) < max(runs, min_level):
-        return np.zeros(gaps.shape[1:], dtype=bool)
-    return np.all(gaps[-runs:] <= target, axis=0)
+        return np.zeros(np.shape(gaps[-1]), dtype=bool)
+    return np.all(np.asarray(gaps[-runs:], dtype=float) <= target, axis=0)
 
 
 def build_primitive(f: Union[RealFunction, Callable[[float], float]],
@@ -232,11 +246,11 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                     cfg: BuildConfig = BuildConfig()) -> PiecewisePrimitive:
     """Build an antiderivative of a continuous f on a finite interval.
 
-    The nodes come from the shared dyadic kernel, so the total cost is
-    that of the finest mesh.  Raises RefinementExhausted when the
-    probe-grid Cauchy criterion is not met within MAX_REFINEMENT
-    levels, and EvaluationFailure when f is not finite at a node or a
-    level's primitive overflows.
+    The nodes come from the shared dyadic kernel, started at
+    min_refinement, so the total cost is that of the finest mesh.  Raises
+    RefinementExhausted when the probe-grid Cauchy criterion is not met
+    within MAX_REFINEMENT levels, and EvaluationFailure when f is not
+    finite at a node or a level's primitive overflows.
     """
     f = real_function(f)
     iv = as_interval(domain)
@@ -252,14 +266,9 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     # overflow is reported below as a non-finite gap (non-finite node values
     # by _dyadic_levels), not as numpy warnings escaping ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for level, xs, new in _dyadic_levels(f.many, a, b, f.label, 0):
-            if level == 0:
-                vals = new
-            else:
-                merged = np.empty(len(xs), dtype=float)
-                merged[0::2] = vals
-                merged[1::2] = new
-                vals = merged
+        for level, xs, new in _dyadic_levels(f.many, a, b, f.label,
+                                             cfg.min_refinement):
+            vals = new if level == 0 else _interleaved(vals, new)
             pieces = _level_from_nodes(xs, vals)
             probe_cur = _cubic(pieces, probe)
             if level > 0:

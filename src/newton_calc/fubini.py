@@ -11,10 +11,10 @@ exist over infinite rectangles.
 Inner integrals are Newton integrals too: each is the right-endpoint value
 of the C^1 piecewise-cubic antiderivative of the piecewise-quadratic
 interpolant of the section on a dyadic mesh (the composite Simpson sum),
-refined by the builder's kernel (``_dyadic_levels``), started at the
-inner floor level, until that value stalls under the builder's stall rule
-(``_stalled``).  Every outer node stalls on its own, so an inner value
-depends on its node alone.
+refined by the builder's kernel (``_dyadic_levels``), started like every
+build at the lowest level that can stall (the inner floor), until that
+value stalls under the builder's stall rule (``_stalled``).  Every outer
+node stalls on its own, so an inner value depends on its node alone.
 """
 
 from __future__ import annotations
@@ -158,14 +158,11 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
     Each value is that of the C^1 piecewise-cubic antiderivative of the
     piecewise-quadratic interpolant at the right endpoint, which is
     (4 T_k - T_{k-1}) / 3 for the trapezoid sums T_k on the dyadic meshes;
-    T_k comes from one running sum of node values per row, so no mesh of
-    values is kept past the floor level.  No row can stall below the floor,
-    so a batch evaluates the floor mesh in one grid call and rebuilds the
-    sums of levels 1..floor from its columns (level k's new nodes are every
-    2s-th column from s = 2**(floor - k)), in the same order as level by
-    level.  Every row stalls on its own gaps below the builder tolerance
-    and drops out of the evaluation, so a value depends on its outer node
-    alone, never on which nodes share its batch.
+    T_k comes from one running sum of node values per row.  No row can
+    stall below the floor, so a batch evaluates the floor mesh in one grid
+    call, like a build.  Every row stalls on its own gaps below the builder
+    tolerance and drops out of the evaluation, so a value depends on its
+    outer node alone, never on which nodes share its batch.
     """
     c, d = y_iv.a, y_iv.b
     length = d - c
@@ -181,23 +178,17 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
                                 _INNER_FLOOR)
         gaps: List[np.ndarray] = []
         for level, _ys, new in levels:
-            if level == _INNER_FLOOR:
+            if level == 0:
                 ends = new[:, 0] + new[:, -1]
                 sums = ends.copy()
                 # two nodes carry no quadratic: level 0's value is T_0
                 trapezoid = value = 0.5 * length * ends
-                steps = [(k, new[:, 1 << (level - k)::2 << (level - k)])
-                         for k in range(1, level + 1)]
-            else:
-                steps = [(level, new)]
-            for k, block in steps:
-                # a contiguous copy sums in the same (pairwise) order as a
-                # fresh block of new values
-                sums += np.ascontiguousarray(block).sum(axis=1)
-                refined = math.ldexp(length, -k) * (sums - 0.5 * ends)
-                simpson = (4.0 * refined - trapezoid) / 3.0
-                gaps.append(np.abs(simpson - value))
-                trapezoid, value = refined, simpson
+                continue
+            sums += new.sum(axis=1)
+            refined = math.ldexp(length, -level) * (sums - 0.5 * ends)
+            simpson = (4.0 * refined - trapezoid) / 3.0
+            gaps.append(np.abs(simpson - value))
+            trapezoid, value = refined, simpson
             done = _stalled(gaps, target, 3, _INNER_FLOOR)
             if done.any():
                 out[index[done]] = value[done]

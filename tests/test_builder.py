@@ -5,13 +5,16 @@ import pytest
 
 from newton_calc import builder
 from newton_calc.builder import (BuildConfig, OutOfDomain,
-                                 RefinementExhausted, build_primitive,
-                                 derivative_check, dumps, loads,
-                                 ray_integral)
+                                 PiecewisePrimitive, RefinementExhausted,
+                                 _cubic, _dyadic_levels, _level_from_nodes,
+                                 _stalled, build_primitive, derivative_check,
+                                 dumps, loads, ray_integral)
 from newton_calc.core import (PRECISE_LIMIT_CONFIG, EvaluationFailure,
                               NonConvergent, RealFunction)
 from newton_calc.engine import newton_integral, pair_from_primitive
-from newton_calc.fubini import BivariateFunction, iterated_rectangle
+from newton_calc.fubini import (RECT_CFG, BivariateFunction,
+                                inner_integral_function, iterated_rectangle)
+from newton_calc.functions import BIVARIATE_REGISTRY
 
 from oracles import EXP_NEG_SQUARE_01, exp_neg_square_series_01
 
@@ -186,6 +189,48 @@ def test_non_finite_integrand_raises_evaluation_failure(integrate, label):
     assert "0.5" in str(info.value)
 
 
+# poles at 1/4 and 1/32: first mesh nodes of [0, 1] at levels 2 and 5, both
+# below min_refinement 6, so one call evaluates both
+TWO_POLES = RealFunction(
+    lambda x: 1.0 / ((x - 0.25) * (x - 0.03125)), label="two poles",
+    vector_fn=lambda xs: 1.0 / ((xs - 0.25) * (xs - 0.03125)))
+# NaN at (1/4, 3/4) and (1/32, 1/2): the outer node of level 2 is evaluated
+# with the inner node of level 2, the one of level 5 with that of level 1
+TWO_NANS_2D = BivariateFunction(
+    lambda x, y: math.nan if (x, y) in ((0.25, 0.75), (0.03125, 0.5))
+    else x + y,
+    label="two nans",
+    vector_fn=lambda xs, ys: np.where(
+        ((xs == 0.25) & (ys == 0.75)) | ((xs == 0.03125) & (ys == 0.5)),
+        np.nan, xs + ys))
+
+
+def _raises_past_a_nan(x):
+    if x == 0.03125:
+        raise ValueError("level 5")
+    return math.nan if x == 0.25 else x
+
+
+@pytest.mark.parametrize("integrate, message", [
+    (lambda: build_primitive(TWO_POLES, (0.0, 1.0),
+                             BuildConfig(min_refinement=6)),
+     "integrand two poles returned a non-finite value at mesh node 0.25"),
+    (lambda: iterated_rectangle(TWO_NANS_2D, (0.0, 1.0), (0.0, 1.0), "xy",
+                                RECT_CFG),
+     "integrand two nans returned a non-finite value at mesh node 0.75"),
+    (lambda: build_primitive(_raises_past_a_nan, (0.0, 1.0),
+                             BuildConfig(min_refinement=6)),
+     "integrand _raises_past_a_nan returned a non-finite value at mesh node "
+     "0.25"),
+], ids=["build_primitive", "iterated_rectangle", "integrand_raises"])
+def test_the_coarsest_non_finite_node_is_named(integrate, message):
+    # evaluated level by level, the level-2 node fails first, also where
+    # the one call over the floor mesh raised at the level-5 node
+    with pytest.raises(EvaluationFailure) as info:
+        integrate()
+    assert str(info.value) == message
+
+
 def test_overflowing_primitive_stops_at_the_first_non_finite_gap():
     seen = []
     big_cos = _spy(lambda x: 1.5e308 * math.cos(40.0 * x),
@@ -261,3 +306,77 @@ def test_serialization_roundtrip_is_exact():
     with pytest.raises(ValueError, match="version 99"):
         loads(dumps(P).replace(f'"version": {builder.SERIALIZATION_VERSION}',
                                '"version": 99'))
+
+
+def level_by_level_build(f, domain, cfg):
+    """Reference for build_primitive: the same pieces and gaps, but every
+    level from 0 up is its own integrand call on the level's new nodes."""
+    a, b = domain
+    target = cfg.target_uniform_gap * (b - a)
+    probe = np.minimum(np.linspace(a, b, cfg.probe_grid), b)
+    history = ()
+    for level, xs, new in _dyadic_levels(f.many, a, b, f.label, 0):
+        if level == 0:
+            vals = new
+        else:
+            merged = np.empty(len(xs))
+            merged[0::2] = vals
+            merged[1::2] = new
+            vals = merged
+        pieces = _level_from_nodes(xs, vals)
+        probe_cur = _cubic(pieces, probe)
+        if level > 0:
+            history += (float(np.max(np.abs(probe_cur - probe_prev))),)
+            if _stalled(history, target, 2, cfg.min_refinement):
+                return PiecewisePrimitive(*pieces, gap_history=history)
+        probe_prev = probe_cur
+    raise RefinementExhausted("no stall")
+
+
+@pytest.mark.parametrize("f, domain", [
+    (COS, (0.0, math.pi / 2)),
+    (EXP_NEG_SQ, (-3.0, 2.5)),
+    (LOG1P, (0.0, 1.0)),
+    (RealFunction(lambda x: x * x, label="square"), (-1.0, 2.0)),
+])
+@pytest.mark.parametrize("m", [1, 4, 6, 9])
+def test_build_is_bit_identical_to_level_by_level(f, domain, m):
+    cfg = BuildConfig(min_refinement=m)
+    got = build_primitive(f, domain, cfg)
+    ref = level_by_level_build(f, domain, cfg)
+    assert got.gap_history == ref.gap_history
+    for name in ("breakpoints", "third_c", "half_u", "v", "w"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 4, 6])
+def test_a_build_evaluates_its_floor_mesh_in_one_call(m):
+    sizes = []
+
+    def vector(xs):
+        sizes.append(len(xs))
+        return np.exp(-xs * xs)
+
+    P = build_primitive(RealFunction(lambda x: math.exp(-x * x),
+                                     vector_fn=vector),
+                        (0.0, 1.0), BuildConfig(min_refinement=m))
+    # the floor mesh, then each later level's new nodes
+    assert sizes == [2 ** m + 1] + [2 ** (k - 1) for k in
+                                    range(m + 1, P.refinement_level + 1)]
+
+
+@pytest.mark.parametrize("fid", ["exp-neg-sum-squares", "sin-product"])
+def test_an_outer_build_runs_its_inner_integrals_once_per_level(fid):
+    inner = inner_integral_function(BIVARIATE_REGISTRY[fid], (0.0, 1.0),
+                                    RECT_CFG)
+    calls = []
+
+    def vector(xs):
+        calls.append(len(xs))
+        return inner.vector_fn(xs)
+
+    P = build_primitive(RealFunction(inner.fn, vector_fn=vector), (0.0, 1.0),
+                        RECT_CFG)
+    assert len(calls) == P.refinement_level - RECT_CFG.min_refinement + 1
+    assert P.evaluate(1.0) == iterated_rectangle(
+        BIVARIATE_REGISTRY[fid], (0.0, 1.0), (0.0, 1.0), "xy", RECT_CFG)

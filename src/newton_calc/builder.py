@@ -19,7 +19,8 @@ integrands (4x with linear pieces).
 The refinement kernel (``_dyadic_levels``) and the mesh stall rule
 (``_stalled``) are shared with ``fubini``'s inner integrals.  Both start
 the kernel at the lowest level that can stall (``min_refinement``, the
-inner floor), so the nodes up to it are evaluated in one call.
+inner floor), so the nodes up to it are evaluated in one call, by the
+integrand guard (``RealFunction.many``, ``BivariateFunction.grid``).
 
 The result vanishes exactly at the left endpoint (the first ``w`` is 0).
 """
@@ -181,17 +182,8 @@ def _level_from_nodes(xs: np.ndarray, vals: np.ndarray) -> tuple:
     return xs[::2].copy(), third_c, half_u, f0.copy(), w
 
 
-def _finite(values: np.ndarray, nodes: np.ndarray, label: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        node = nodes[np.nonzero(~np.isfinite(values))[-1][0]]
-        raise EvaluationFailure(
-            f"integrand {label or '<unnamed>'} returned a non-finite value "
-            f"at mesh node {float(node)!r}")
-    return values
-
-
 def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
-                   a: float, b: float, label: str, first: int
+                   a: float, b: float, first: int
                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield (level, nodes, new_values) on the dyadic meshes of [a, b], for
     levels 0..MAX_REFINEMENT: the level's whole mesh, from one midpoint
@@ -199,29 +191,22 @@ def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
     nodes[1::2]) on the last axis (one f.many row, or 2-D grid rows).
     The first request evaluates level first's mesh in one call and cuts
     levels 0..first from it (level k's new nodes are every 2s-th node from
-    s = 2**(first - k)); later levels evaluate lazily.  Each level is
-    checked as it is yielded, so EvaluationFailure names the node that
-    level-by-level evaluation would; should the one call raise, levels
-    0..first evaluate their own nodes, to raise where that would too."""
+    s = 2**(first - k)); later levels evaluate lazily.  evaluate is the
+    integrand guard, so a failure names the array's first failing node."""
     floor = np.array([a, b], dtype=float)
     for _ in range(first):
         floor = _interleaved(floor, 0.5 * (floor[:-1] + floor[1:]))
-    try:
-        values = evaluate(floor)
-    except Exception:
-        values = None
+    values = evaluate(floor)
     for level in range(MAX_REFINEMENT + 1):
         if level <= first:
             s = 1 << (first - level)
             at = slice(0, None, s) if level == 0 else slice(s, None, 2 * s)
-            nodes, new_nodes = floor[::s], floor[at]
             # contiguous, so it sums in the (pairwise) order of a fresh block
-            new = (evaluate(new_nodes) if values is None
-                   else np.ascontiguousarray(values[..., at]))
+            nodes, new = floor[::s], np.ascontiguousarray(values[..., at])
         else:
             new_nodes = 0.5 * (nodes[:-1] + nodes[1:])
             nodes, new = _interleaved(nodes, new_nodes), evaluate(new_nodes)
-        yield level, nodes, _finite(new, new_nodes, label)
+        yield level, nodes, new
 
 
 def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -232,11 +217,11 @@ def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _stalled(gaps: Sequence[Union[float, np.ndarray]], target: float,
-             runs: int, min_level: int) -> np.ndarray:
+             runs: int) -> np.ndarray:
     """Mesh stall, elementwise: gaps[k-1] holds level k's gap (a float, or
     one gap per row); a row stalls when its last `runs` gaps are within
-    target, at a level of at least min_level.  Returns a bool per row."""
-    if len(gaps) < max(runs, min_level):
+    target (asked from the floor level on).  Returns a bool per row."""
+    if len(gaps) < runs:
         return np.zeros(np.shape(gaps[-1]), dtype=bool)
     return np.all(np.asarray(gaps[-runs:], dtype=float) <= target, axis=0)
 
@@ -249,8 +234,8 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     The nodes come from the shared dyadic kernel, started at
     min_refinement, so the total cost is that of the finest mesh.  Raises
     RefinementExhausted when the probe-grid Cauchy criterion is not met
-    within MAX_REFINEMENT levels, and EvaluationFailure when f is not
-    finite at a node or a level's primitive overflows.
+    within MAX_REFINEMENT levels, and EvaluationFailure when f fails at a
+    node (f.many's guard) or a level's primitive overflows.
     """
     f = real_function(f)
     iv = as_interval(domain)
@@ -264,9 +249,9 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     history: Tuple[float, ...] = ()
 
     # overflow is reported below as a non-finite gap (non-finite node values
-    # by _dyadic_levels), not as numpy warnings escaping ahead of it
+    # by f.many), not as numpy warnings escaping ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for level, xs, new in _dyadic_levels(f.many, a, b, f.label,
+        for level, xs, new in _dyadic_levels(f.many, a, b,
                                              cfg.min_refinement):
             vals = new if level == 0 else _interleaved(vals, new)
             pieces = _level_from_nodes(xs, vals)
@@ -280,7 +265,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                         f"is not finite at level {level} (last finite gap "
                         f"{history[-1] if history else None})")
                 history = history + (gap,)
-                if _stalled(history, target, 2, cfg.min_refinement):
+                if level >= cfg.min_refinement and _stalled(history, target, 2):
                     return PiecewisePrimitive(*pieces, gap_history=history)
             probe_prev = probe_cur
 

@@ -408,8 +408,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         return _HANDLERS[args.command](args, out)
     except (UnknownFunction, ValueError) as exc:
-        # a ValueError here is an argument out of a function's range or an
-        # unusable cache path
+        # a ValueError here is an argument a library function rejects or an
+        # unusable cache path; a failing integrand is an EvaluationFailure
         print(f"newton-calc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NewtonCalcError as exc:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class NonConvergent(NewtonCalcError):
 
 
 class EvaluationFailure(NewtonCalcError):
-    """A function returned NaN or an infinity where a finite value was required."""
+    """A function failed (raised, or was not finite) at a point."""
 
 
 class DecayViolation(NewtonCalcError):
@@ -129,13 +129,42 @@ def as_interval(iv: Union[Interval, Sequence[float]]) -> Interval:
 # function wrapper
 # ---------------------------------------------------------------------------
 
+def _checked(values: np.ndarray, label: str,
+             at: Callable[[int], str]) -> np.ndarray:
+    """values, or EvaluationFailure at the first non-finite one (C order)."""
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise EvaluationFailure(f"{label or '<unnamed>'} returned "
+                                f"{values.flat[i].item()!r} at {at(i)}")
+    return values
+
+
+def _evaluated(fn: Callable[..., float], points: list, label: str,
+               at: Callable[[int], str]) -> List[float]:
+    """fn(*p) for each p in points, in order, under the guard."""
+    out = []
+    for k, p in enumerate(points):
+        try:
+            val = float(fn(*p))
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationFailure(f"{label or '<unnamed>'} raised {exc!r} "
+                                    f"at {at(k)}") from exc
+        if not math.isfinite(val):
+            raise EvaluationFailure(f"{label or '<unnamed>'} returned "
+                                    f"{val!r} at {at(k)}")
+        out.append(val)
+    return out
+
+
 @dataclass(frozen=True)
 class RealFunction:
     """A pure real -> real evaluation, optionally with a vectorized twin.
 
-    The scalar callable is the contract; ``vector_fn`` is a performance
-    hint used by the mesh-based code when it needs many values at once.
-    Both must agree pointwise.
+    The scalar callable is the contract; ``vector_fn`` agrees with it and
+    is non-finite where it raises.  ``at`` and ``many`` are the guard: a
+    value that raises an ArithmeticError or ValueError or is not finite is
+    an EvaluationFailure naming the label and the first failing point in
+    the order given (the limit kernel checks its own plain calls).
     """
 
     fn: Callable[[float], float]
@@ -145,13 +174,23 @@ class RealFunction:
     def __call__(self, x: float) -> float:
         return float(self.fn(x))
 
+    def at(self, x: float) -> float:
+        """The scalar callable at x, under the guard."""
+        return _evaluated(self.fn, [(x,)], self.label, lambda i: f"x={x!r}")[0]
+
     def many(self, xs: Iterable[float]) -> np.ndarray:
         arr = np.asarray(xs, dtype=float)
-        if self.vector_fn is not None:
-            with np.errstate(all="ignore"):
-                return np.asarray(self.vector_fn(arr), dtype=float)
-        return np.array([self.fn(float(x)) for x in arr.ravel()],
-                        dtype=float).reshape(arr.shape)
+
+        def at(i: int) -> str:
+            return f"x={arr.flat[i].item()!r}"
+
+        if self.vector_fn is None:
+            points = [(x,) for x in arr.ravel().tolist()]
+            return np.array(_evaluated(self.fn, points, self.label, at),
+                            dtype=float).reshape(arr.shape)
+        with np.errstate(all="ignore"):
+            values = np.asarray(self.vector_fn(arr), dtype=float)
+        return _checked(values, self.label, at)
 
 
 def real_function(f: Union[RealFunction, Callable[[float], float]]

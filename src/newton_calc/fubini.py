@@ -28,7 +28,8 @@ import numpy as np
 
 from .builder import (MAX_REFINEMENT, BuildConfig, RefinementExhausted,
                       _dyadic_levels, _stalled, build_primitive, ray_integral)
-from .core import DecayViolation, Interval, RealFunction, as_interval
+from .core import (DecayViolation, Interval, RealFunction, _checked,
+                   _evaluated, as_interval)
 from .engine import PrimitivePair, newton_integral
 
 __all__ = [
@@ -65,28 +66,27 @@ class BivariateFunction:
         return float(self.fn(x, y))
 
     def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Evaluate on the broadcast product of xs (rows) and ys (columns)."""
-        X = np.asarray(xs, dtype=float)[:, None]
-        Y = np.asarray(ys, dtype=float)[None, :]
-        if self.vector_fn is not None:
-            with np.errstate(all="ignore"):
-                return np.asarray(self.vector_fn(X, Y), dtype=float)
-        out = np.empty((X.shape[0], Y.shape[1]), dtype=float)
-        for i, x in enumerate(X[:, 0]):
-            for j, y in enumerate(Y[0, :]):
-                out[i, j] = self.fn(float(x), float(y))
-        return out
+        """xs (rows) by ys (columns), under RealFunction.many's guard."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+
+        def at(i: int) -> str:
+            x, y = xs[i // len(ys)].item(), ys[i % len(ys)].item()
+            return f"(x, y)=({x!r}, {y!r})"
+
+        if self.vector_fn is None:
+            points = [(x, y) for x in xs.tolist() for y in ys.tolist()]
+            return np.array(_evaluated(self.fn, points, self.label, at),
+                            dtype=float).reshape(len(xs), len(ys))
+        with np.errstate(all="ignore"):
+            values = np.asarray(self.vector_fn(xs[:, None], ys[None, :]),
+                                dtype=float)
+        return _checked(values, self.label, at)
 
     def section_at_x(self, x: float) -> RealFunction:
-        fn = self.fn
-        vec = self.vector_fn
-        vector = None
-        if vec is not None:
-            def vector(ys, _x=float(x)):
-                with np.errstate(all="ignore"):
-                    return np.asarray(vec(np.full_like(np.asarray(ys, float), _x),
-                                          np.asarray(ys, float)), dtype=float)
-        return RealFunction(lambda y, _x=float(x): fn(_x, y),
+        fn, vec, at = self.fn, self.vector_fn, float(x)
+        vector = None if vec is None else (
+            lambda ys: vec(np.full_like(ys, at), ys))
+        return RealFunction(lambda y: fn(at, y),
                             label=f"{self.label}({x}, .)", vector_fn=vector)
 
     def transposed(self) -> "BivariateFunction":
@@ -174,7 +174,7 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         # the kernel evaluates lazily, so it sees the active rows of the
         # level it is asked for
         rows = xs[index]
-        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, f.label,
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
                                 _INNER_FLOOR)
         gaps: List[np.ndarray] = []
         for level, _ys, new in levels:
@@ -189,8 +189,8 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
             simpson = (4.0 * refined - trapezoid) / 3.0
             gaps.append(np.abs(simpson - value))
             trapezoid, value = refined, simpson
-            done = _stalled(gaps, target, 3, _INNER_FLOOR)
-            if done.any():
+            if (level >= _INNER_FLOOR
+                    and (done := _stalled(gaps, target, 3)).any()):
                 out[index[done]] = value[done]
                 keep = ~done
                 if not keep.any():
@@ -515,7 +515,6 @@ def _counterexample_inner_xy() -> RealFunction:
     unit = _unit_exponential_integral()
 
     def vector(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
         return np.exp(-xs) * unit + _ridge_excess(xs)
 
     return RealFunction(lambda x: float(vector(np.array([x]))[0]),

@@ -188,10 +188,8 @@ def centered_integrand(n: int) -> RealFunction:
         return math.exp(n * (math.log1p(y) - y))
 
     def vector(ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(n * (np.log1p(ys) - ys))
-        return np.where(ys <= -1.0, 0.0, out)
+        # log1p(-1) = -inf, under many's errstate
+        return np.where(ys <= -1.0, 0.0, np.exp(n * (np.log1p(ys) - ys)))
 
     f = RealFunction(scalar, label=f"(exp(-y)(1+y))^{n}", vector_fn=vector)
 
@@ -330,11 +328,11 @@ def gauss_integral() -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _laplace_bound_constant(epsilon: float) -> float:
+def _laplace_bound_constant() -> float:
     # err(n) * n**(1/2 - eps) decreases in n (the true error falls like
-    # 1/n), so calibrating at n = 1 gives a constant valid for every n;
-    # the 1 + 1e-9 keeps the calibration point itself inside its own
-    # bound after the power-law round trip
+    # 1/n), and n**(eps - 1/2) is 1 at n = 1, so calibrating there gives
+    # one constant valid for every n and eps; the 1 + 1e-9 keeps the
+    # calibration point inside its own bound after the power-law round trip
     err = abs(log_factorial(1) - _laplace_log_main(1))
     return err * (1.0 + 1e-9)
 
@@ -351,8 +349,8 @@ def stirling_via_laplace(n: int, epsilon: float = 0.3) -> AsymptoticRecord:
     integral, assembled in log space.  The number rests on
     gauss_integral() alone: concentrate and reduce_to_gauss, which justify
     dropping the correction and tail pieces, are not evaluated here.  The
-    bound constant is calibrated once at n = 1 per epsilon from the
-    record's own error, not from the measured pieces.
+    bound constant is calibrated once at n = 1 (for every epsilon) from
+    the record's own error, not from the measured pieces.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -360,7 +358,7 @@ def stirling_via_laplace(n: int, epsilon: float = 0.3) -> AsymptoticRecord:
         raise ValueError("epsilon must lie in (0, 1/2)")
     exact = log_factorial(n)
     approx = _laplace_log_main(n)
-    C = _laplace_bound_constant(epsilon)
+    C = _laplace_bound_constant()
     return AsymptoticRecord(
         n=n, log_factorial_exact=exact, approximation=approx,
         abs_error=abs(exact - approx),

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (DecayViolation, EvaluationFailure, Interval,
-                   NewtonCalcError, RealFunction, real_function)
+from .core import (DecayViolation, Interval, NewtonCalcError, RealFunction,
+                   real_function)
 from .engine import PrimitivePair, newton_integral
 from .functions import _xlogx_minus_x
 
@@ -114,29 +114,8 @@ class AsymptoticRecord:
 # the basic monotone estimate
 # ---------------------------------------------------------------------------
 
-def _value(f: RealFunction, x: float) -> float:
-    """f(x); EvaluationFailure naming f and x where f raises an
-    ArithmeticError or ValueError or returns a non-finite value."""
-    try:
-        y = f(x)
-    except (ArithmeticError, ValueError) as exc:
-        raise EvaluationFailure(
-            f"{f.label or '<unnamed>'} fails at x = {x!r}: {exc}") from exc
-    if not math.isfinite(y):
-        raise EvaluationFailure(f"{f.label or '<unnamed>'} is {y!r} at x = {x!r}")
-    return y
-
-
 def _sampled_direction(f: RealFunction, a: int, b: int) -> int:
-    count = min(513, 4 * (b - a) + 1)
-    xs = np.linspace(float(a), float(b), count)
-    try:
-        vals = f.many(xs)
-    except (ArithmeticError, ValueError):
-        vals = np.array([math.nan])
-    if not np.isfinite(vals).all():
-        # one by one, to name the sample (an inf would void the slack)
-        vals = np.array([_value(f, x) for x in xs.tolist()])
+    vals = f.many(np.linspace(float(a), float(b), min(513, 4 * (b - a) + 1)))
     diffs = np.diff(vals)
     scale = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if np.all(diffs >= -scale):
@@ -156,10 +135,10 @@ def monotone_sum_vs_integral(f: Union[RealFunction, Callable[[float], float]],
     f = real_function(f)
     F = real_function(F)
     _sampled_direction(f, a, b)
-    total = math.fsum(_value(f, float(n)) for n in range(a + 1, b + 1))
+    total = math.fsum(f.at(float(n)) for n in range(a + 1, b + 1))
     integral = newton_integral(
         PrimitivePair(f, F, Interval(float(a), float(b)))).value
-    fa, fb = _value(f, float(a)), _value(f, float(b))
+    fa, fb = f.at(float(a)), f.at(float(b))
     theta = None if fb == fa else (total - integral) / (fb - fa)
     return SumIntegralReport(sum=total, integral=integral, theta=theta,
                              endpoints=(a, b))

@@ -1,7 +1,8 @@
 """The build corpus: fixed constructive builds, recorded bit for bit.
 
 Each case is one call into the builder: ``build_primitive`` on the 1-D
-registry functions at every ``min_refinement`` from 1 to 8,
+registry functions, a pole, an overflowing primitive and two scalar-only
+integrands that raise, at every ``min_refinement`` from 1 to 8,
 ``ray_integral`` on exp(-x^2) and exp(-x), and both orders of
 ``iterated_rectangle`` on the benchmark's base rectangle of every
 bivariate registry id.  A case records the value at the right end as
@@ -63,6 +64,20 @@ TWO_POLES = RealFunction(
     lambda x: 1.0 / ((x - 0.25) * (x - 0.03125)), label="two poles",
     vector_fn=lambda xs: 1.0 / ((xs - 0.25) * (xs - 0.03125)))
 
+
+def reciprocal(x: float) -> float:
+    return 1.0 / x
+
+
+# poles and overflow on [0, 1], and scalar-only integrands (no vector twin)
+# that raise at a mesh node: math.log at 0, 1/x at 0
+SPECIAL: List[Tuple[str, Callable[[float], float], Tuple[float, float]]] = [
+    ("big-cos", BIG_COS, (0.0, 1.0)),
+    ("two-poles", TWO_POLES, (0.0, 1.0)),
+    ("scalar-log", math.log, (0.0, 1.0)),
+    ("scalar-reciprocal", reciprocal, (-1.0, 1.0)),
+]
+
 EXP_NEG_SQ = RealFunction(lambda x: math.exp(-x * x), label="exp(-x^2)",
                           vector_fn=lambda xs: np.exp(-xs * xs))
 EXP_NEG = RealFunction(lambda x: math.exp(-x), label="exp(-x)",
@@ -93,10 +108,10 @@ def cases() -> List[Tuple[str, Callable[[], float]]]:
             out.append((f"build {id_} [{a}, {b}] m={m}",
                         lambda f=f, a=a, b=b, cfg=cfg:
                         builder.build_primitive(f, (a, b), cfg).evaluate(b)))
-        for name, f in (("big-cos", BIG_COS), ("two-poles", TWO_POLES)):
-            out.append((f"build {name} [0.0, 1.0] m={m}",
-                        lambda f=f, cfg=cfg: builder.build_primitive(
-                            f, (0.0, 1.0), cfg).evaluate(1.0)))
+        for name, f, (a, b) in SPECIAL:
+            out.append((f"build {name} [{a}, {b}] m={m}",
+                        lambda f=f, a=a, b=b, cfg=cfg: builder.build_primitive(
+                            f, (a, b), cfg).evaluate(b)))
     for f in (EXP_NEG_SQ, EXP_NEG):
         for a in (0.0, -2.0):
             for gap in (1e-8, 1e-10):

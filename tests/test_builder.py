@@ -189,6 +189,41 @@ def test_non_finite_integrand_raises_evaluation_failure(integrate, label):
     assert "0.5" in str(info.value)
 
 
+def log_of_product(x, y):
+    return math.log(x * y)
+
+
+def reciprocal(x):
+    return 1.0 / x
+
+
+def log_below_one(x):
+    # 0 from x = 1 on, so the ray's g(1) exists; undefined at x = 0
+    return math.log(x) if x < 1.0 else 0.0
+
+
+# scalar-only integrands (no vector twin) that raise at a mesh node
+@pytest.mark.parametrize("integrate, message", [
+    (lambda: build_primitive(math.log, (0.0, 1.0)),
+     "log raised ValueError('math domain error') at x=0.0"),
+    (lambda: build_primitive(reciprocal, (-1.0, 1.0)),
+     "reciprocal raised ZeroDivisionError('float division by zero') "
+     "at x=0.0"),
+    (lambda: ray_integral(log_below_one, 0.0, 1.0, BuildConfig()),
+     "log_below_one raised ValueError('math domain error') at x=0.0"),
+    (lambda: iterated_rectangle(log_of_product, (0.0, 1.0), (0.0, 1.0)),
+     "log_of_product raised ValueError('math domain error') "
+     "at (x, y)=(0.0, 0.0)"),
+], ids=["build_primitive-log", "build_primitive-reciprocal", "ray_integral",
+        "iterated_rectangle"])
+def test_raising_scalar_integrand_raises_evaluation_failure(integrate,
+                                                            message):
+    with pytest.raises(EvaluationFailure) as info:
+        integrate()
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, (ArithmeticError, ValueError))
+
+
 # poles at 1/4 and 1/32: first mesh nodes of [0, 1] at levels 2 and 5, both
 # below min_refinement 6, so one call evaluates both
 TWO_POLES = RealFunction(
@@ -214,18 +249,19 @@ def _raises_past_a_nan(x):
 @pytest.mark.parametrize("integrate, message", [
     (lambda: build_primitive(TWO_POLES, (0.0, 1.0),
                              BuildConfig(min_refinement=6)),
-     "integrand two poles returned a non-finite value at mesh node 0.25"),
+     "two poles returned -inf at x=0.03125"),
     (lambda: iterated_rectangle(TWO_NANS_2D, (0.0, 1.0), (0.0, 1.0), "xy",
                                 RECT_CFG),
-     "integrand two nans returned a non-finite value at mesh node 0.75"),
+     "two nans returned nan at (x, y)=(0.03125, 0.5)"),
     (lambda: build_primitive(_raises_past_a_nan, (0.0, 1.0),
                              BuildConfig(min_refinement=6)),
-     "integrand _raises_past_a_nan returned a non-finite value at mesh node "
-     "0.25"),
+     "_raises_past_a_nan raised ValueError('level 5') at x=0.03125"),
 ], ids=["build_primitive", "iterated_rectangle", "integrand_raises"])
-def test_the_coarsest_non_finite_node_is_named(integrate, message):
-    # evaluated level by level, the level-2 node fails first, also where
-    # the one call over the floor mesh raised at the level-5 node
+def test_the_first_failing_node_of_the_evaluated_array_is_named(integrate,
+                                                                message):
+    # the floor mesh is one call, in increasing order, so the level-5 node
+    # 1/32 fails before the level-2 node 1/4 (in 2-D, the outer x = 1/32
+    # is the earlier row of the inner integrals' grid)
     with pytest.raises(EvaluationFailure) as info:
         integrate()
     assert str(info.value) == message
@@ -315,7 +351,7 @@ def level_by_level_build(f, domain, cfg):
     target = cfg.target_uniform_gap * (b - a)
     probe = np.minimum(np.linspace(a, b, cfg.probe_grid), b)
     history = ()
-    for level, xs, new in _dyadic_levels(f.many, a, b, f.label, 0):
+    for level, xs, new in _dyadic_levels(f.many, a, b, 0):
         if level == 0:
             vals = new
         else:
@@ -327,7 +363,8 @@ def level_by_level_build(f, domain, cfg):
         probe_cur = _cubic(pieces, probe)
         if level > 0:
             history += (float(np.max(np.abs(probe_cur - probe_prev))),)
-            if _stalled(history, target, 2, cfg.min_refinement):
+            if (level >= cfg.min_refinement
+                    and _stalled(history, target, 2)):
                 return PiecewisePrimitive(*pieces, gap_history=history)
         probe_prev = probe_cur
     raise RefinementExhausted("no stall")

@@ -100,7 +100,7 @@ def test_sumint_through_a_singular_point_exits_2(capsys, argv):
     assert code == EXIT_CHECK_FAILED
     assert "Traceback" not in err
     [line] = err.splitlines()
-    assert line.startswith("newton-calc: ") and "x = 0" in line
+    assert line.startswith("newton-calc: ") and "at x=0.0" in line
 
 
 def test_integrate_on_a_subnormal_interval():

@@ -362,6 +362,49 @@ def test_nan_is_hard_failure():
         one_sided_limit(lambda x: float("nan"), 0.0, "right")
 
 
+def _nan_then_raise(x):
+    if x == 2.0:
+        raise ZeroDivisionError("at two")
+    return math.nan if x == 3.0 else x
+
+
+# the same failures with and without a vector twin (which returns inf where
+# the scalar raises, as vector twins do)
+NAN_THEN_RAISE = [
+    RealFunction(_nan_then_raise, label="guarded"),
+    RealFunction(_nan_then_raise, label="guarded", vector_fn=lambda xs:
+                 np.where(xs == 2.0, np.inf, np.where(xs == 3.0, np.nan, xs))),
+]
+
+
+@pytest.mark.parametrize("f", NAN_THEN_RAISE, ids=["scalar", "vector"])
+def test_many_names_the_first_failing_point_in_the_order_given(f):
+    assert f.many([[1.0, 4.0], [5.0, 6.0]]).tolist() == [[1.0, 4.0],
+                                                         [5.0, 6.0]]
+    with pytest.raises(EvaluationFailure) as info:
+        f.many([1.0, 3.0, 2.0])
+    assert str(info.value) == "guarded returned nan at x=3.0"
+    with pytest.raises(EvaluationFailure) as info:
+        f.many(np.array([[4.0, 2.0], [3.0, 1.0]]))
+    assert str(info.value) == (
+        "guarded raised ZeroDivisionError('at two') at x=2.0"
+        if f.vector_fn is None else "guarded returned inf at x=2.0")
+
+
+def test_at_guards_one_point_and_returns_a_float():
+    f = NAN_THEN_RAISE[0]
+    value = f.at(1.5)
+    assert type(value) is float and value == 1.5
+    with pytest.raises(EvaluationFailure,
+                       match=r"^guarded returned nan at x=3\.0$"):
+        f.at(3.0)
+    with pytest.raises(EvaluationFailure) as info:
+        f.at(2.0)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    # a plain call is left to the caller (the limit kernel checks its own)
+    assert math.isnan(f(3.0))
+
+
 def test_overflow_is_hard_failure():
     with pytest.raises(EvaluationFailure):
         endpoint_limit(lambda x: math.exp(x) if x < 700 else float("inf"),

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from newton_calc.builder import build_primitive
 from newton_calc.core import (DEFAULT_LIMIT_CONFIG, EvaluationFailure,
                               Interval, NonConvergent, PRECISE_LIMIT_CONFIG,
-                              RealFunction)
+                              RealFunction, chebyshev_samples)
 from newton_calc.engine import (DomainMismatch, InfiniteInterval,
                                 PointwiseOrderViolated, PrimitivePair,
                                 RangeViolation, SplitPointOutsideInterval,
                                 hake_check, integrate_by_parts,
                                 linear_combine, ml_bound_check,
                                 monotone_compare, newton_integral,
-                                pair_from_primitive, split_additive,
-                                substitute)
+                                pair_from_primitive, primitive_spot_check,
+                                split_additive, substitute)
 from newton_calc.functions import gamma_pair, pair_for
 
 COS_PAIR = pair_for("cos", 0.0, math.pi / 2)
@@ -498,6 +498,43 @@ def test_domain_error_in_a_primitive_raises_evaluation_failure():
     with pytest.raises(EvaluationFailure, match="x=-0.9") as info:
         newton_integral(pair)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+# x on (0, 1) but NaN on (1/4, 3/4), where the sampled checks look and the
+# endpoint limits do not; the first Chebyshev sample there is the largest
+NAN_MIDDLE = RealFunction(
+    lambda x: math.nan if 0.25 < x < 0.75 else x, label="nan in the middle",
+    vector_fn=lambda xs: np.where((0.25 < xs) & (xs < 0.75), np.nan, xs))
+HALF_SQUARE = RealFunction(lambda x: 0.5 * x * x, label="x^2/2",
+                           vector_fn=lambda xs: 0.5 * xs * xs)
+ONE = RealFunction(lambda x: 1.0, label="1",
+                   vector_fn=lambda xs: np.ones_like(xs))
+IDENTITY = RealFunction(lambda x: x, label="x", vector_fn=lambda xs: xs)
+UNIT = Interval(0.0, 1.0)
+
+
+@pytest.mark.parametrize("check, label, step", [
+    # the spot check evaluates F at x + 1e-6 first
+    (lambda: primitive_spot_check(PrimitivePair(ONE, NAN_MIDDLE, UNIT)),
+     "nan in the middle", 1e-6),
+    (lambda: substitute(PrimitivePair(IDENTITY, HALF_SQUARE, UNIT),
+                        NAN_MIDDLE, ONE, UNIT), "nan in the middle", 0.0),
+    (lambda: ml_bound_check(PrimitivePair(NAN_MIDDLE, HALF_SQUARE, UNIT),
+                            1.0), "nan in the middle", 0.0),
+    (lambda: monotone_compare(PrimitivePair(NAN_MIDDLE, HALF_SQUARE, UNIT),
+                              PrimitivePair(ONE, IDENTITY, UNIT)),
+     "nan in the middle", 0.0),
+    # the pushed pair is scalar-only and unnamed; its spot check fails at
+    # the pushed integrand's first sample in the middle
+    (lambda: substitute(PrimitivePair(NAN_MIDDLE, HALF_SQUARE, UNIT),
+                        IDENTITY, ONE, UNIT), "<unnamed>", 0.0),
+], ids=["primitive_spot_check", "substitute-range", "ml_bound_check",
+        "monotone_compare", "substitute-spot-check"])
+def test_nan_sample_raises_evaluation_failure(check, label, step):
+    x = next(x for x in chebyshev_samples(UNIT) if 0.25 < x + step < 0.75)
+    with pytest.raises(EvaluationFailure) as info:
+        check()
+    assert str(info.value) == f"{label} returned nan at x={float(x + step)!r}"
 
 
 def test_divergent_endpoint_ends_before_the_endpoint_itself():

@@ -136,7 +136,7 @@ def level_by_level_inner_values(f, xs, y_iv, cfg):
     for start in range(0, len(xs), _INNER_CHUNK):
         index = np.arange(start, min(start + _INNER_CHUNK, len(xs)))
         rows = xs[index]
-        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, f.label, 0)
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, 0)
         gaps = []
         for level, _ys, new in levels:
             h = math.ldexp(length, -level)
@@ -150,7 +150,9 @@ def level_by_level_inner_values(f, xs, y_iv, cfg):
             simpson = (4.0 * refined - trapezoid) / 3.0
             gaps.append(np.abs(simpson - value))
             trapezoid, value = refined, simpson
-            done = _stalled(gaps, target, 3, 8)
+            if level < 8:
+                continue
+            done = _stalled(gaps, target, 3)
             if done.any():
                 out[index[done]] = value[done]
                 keep = ~done
@@ -195,9 +197,36 @@ def test_non_finite_inner_node_is_named():
     f = BivariateFunction(
         lambda x, y: math.nan if y == bad else x * y, "nan at y = 5/16",
         lambda xs, ys: np.where(ys == bad, np.nan, xs * ys))
-    with pytest.raises(EvaluationFailure, match="mesh node") as info:
+    with pytest.raises(EvaluationFailure) as info:
         _inner_values(f, np.array([0.5, 1.0]), Interval(0.0, 2.0), RECT_CFG)
-    assert float(str(info.value).rsplit(" ", 1)[-1]) == bad
+    assert str(info.value) == \
+        "nan at y = 5/16 returned nan at (x, y)=(0.5, 0.3125)"
+
+
+def _nan_then_raise_2d(x, y):
+    if (x, y) == (1.0, 0.5):
+        raise ValueError("at (1, 1/2)")
+    return math.nan if (x, y) == (1.0, 0.25) else x + y
+
+
+def test_grid_names_the_first_failing_point_in_row_major_order():
+    f = BivariateFunction(_nan_then_raise_2d, "guarded")
+    vector = BivariateFunction(
+        _nan_then_raise_2d, "guarded", lambda xs, ys: np.where(
+            (xs == 1.0) & (ys == 0.25), np.nan, xs + ys))
+    ys = np.array([0.0, 0.5, 0.25])
+    for g in (f, vector):
+        assert g.grid(np.array([0.0, 2.0]), ys).tolist() == \
+            [[0.0, 0.5, 0.25], [2.0, 2.5, 2.25]]
+    with pytest.raises(EvaluationFailure) as info:
+        f.grid(np.array([0.0, 1.0]), ys)
+    assert str(info.value) == \
+        "guarded raised ValueError('at (1, 1/2)') at (x, y)=(1.0, 0.5)"
+    # the NaN comes first once the row is reordered, also without a twin
+    for g in (f, vector):
+        with pytest.raises(EvaluationFailure) as info:
+            g.grid(np.array([1.0]), ys[::-1])
+        assert str(info.value) == "guarded returned nan at (x, y)=(1.0, 0.25)"
 
 
 def test_decay_rectangle_evaluation_count():
@@ -320,6 +349,20 @@ def test_decay_violation_detected():
                           lambda xs, ys: 1.0 / (1.0 + xs + ys))
     with pytest.raises(DecayViolation):
         decay_bounded_fubini(f, 1.0, [4.0])
+
+
+def test_decay_check_rejects_a_nan_sample():
+    # NaN only at x = 4**(1/40), the decay check's second radius: not a
+    # dyadic mesh node of [0, 4], so the rectangles alone never see it
+    m1 = float(np.geomspace(1.0, 4.0, 41)[1])
+    f = BivariateFunction(
+        lambda x, y: math.nan if x == m1 else (1.0 + x + y) ** -3.0,
+        "nan at one radius",
+        lambda xs, ys: np.where(xs == m1, np.nan, (1.0 + xs + ys) ** -3.0))
+    with pytest.raises(EvaluationFailure) as info:
+        decay_bounded_fubini(f, 1.0, [4.0])
+    assert str(info.value) == \
+        f"nan at one radius returned nan at (x, y)=({m1!r}, 0.0)"
 
 
 # ---------------------------------------------------------------------------

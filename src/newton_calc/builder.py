@@ -16,11 +16,16 @@ practical stand-in for the uniform Cauchy bound
 With quadratic pieces that gap shrinks about 16x per level on smooth
 integrands (4x with linear pieces).
 
-The refinement kernel (``_dyadic_levels``) and the mesh stall rule
-(``_stalled``) are shared with ``fubini``'s inner integrals.  Both start
-the kernel at the lowest level that can stall (``min_refinement``, the
-inner floor), so the nodes up to it are evaluated in one call, by the
-integrand guard (``RealFunction.many``, ``BivariateFunction.grid``).
+The dyadic meshes (``_floor_mesh``) and the mesh stall rule (``_stalled``)
+are shared with ``fubini``'s inner integrals (refined by ``_dyadic_levels``).
+Both start at the lowest level that can stall (``min_refinement``, the
+inner floor), whose mesh is evaluated in one call by the integrand guard
+(``RealFunction.many``, ``BivariateFunction.grid``).  A build computes all
+its floor levels in one pass over that mesh (``_floor_levels``), then each
+finer level from the previous mesh, its midpoints and the integrand there;
+both take their pieces from ``_quadratic_pieces``, with one running sum per
+level, so each level's pieces and gap are those of a build of that level
+alone.
 
 The result vanishes exactly at the left endpoint (the first ``w`` is 0).
 """
@@ -30,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Tuple, Union
+from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -152,34 +158,97 @@ def _cubic(pieces: tuple, xs):
     """pieces = (breakpoints, third_c, half_u, v, w) at a point or array xs
     of its domain, each x in the last piece that starts at or below it."""
     breakpoints, third_c, half_u, v, w = pieces
-    i = np.minimum(np.searchsorted(breakpoints, xs, side="right") - 1,
-                   len(w) - 1)
+    # searching all breakpoints but the last puts x = b in the last piece
+    i = breakpoints[:-1].searchsorted(xs, side="right") - 1
     t = xs - breakpoints[i]
     return ((third_c[i] * t + half_u[i]) * t + v[i]) * t + w[i]
 
 
-def _level_from_nodes(xs: np.ndarray, vals: np.ndarray) -> tuple:
-    """The level's (breakpoints, third_c, half_u, v, w) from the mesh nodes
-    and the integrand there.
-
-    At level 0 the mesh is [a, b] and the interpolant is the chord; after
-    that the mesh has an even number of intervals and each piece spans two,
-    in Newton form f0 + d1*t + c*t*(t - hm) about its left breakpoint.
-    """
-    if len(xs) == 2:
-        xs = np.array([xs[0], 0.5 * (xs[0] + xs[1]), xs[1]])
-        vals = np.array([vals[0], 0.5 * (vals[0] + vals[1]), vals[1]])
-    x0, xm, x2 = xs[:-2:2], xs[1::2], xs[2::2]
-    f0, fm, f2 = vals[:-2:2], vals[1::2], vals[2::2]
+def _quadratic_pieces(x0: np.ndarray, xm: np.ndarray, x2: np.ndarray,
+                      f0: np.ndarray, fm: np.ndarray, f2: np.ndarray,
+                      starts: List[int]) -> tuple:
+    """(third_c, half_u, w) of the quadratic pieces through (x0, f0),
+    (xm, fm) and (x2, f2), in Newton form f0 + d1*t + c*t*(t - hm) about
+    x0.  The pieces of one level run from each of starts to the next; w
+    starts at 0 at each."""
     hm, h = xm - x0, x2 - x0
     d1 = (fm - f0) / hm
     c = ((f2 - fm) / (x2 - xm) - d1) / h
     third_c = c / 3.0
     half_u = 0.5 * (d1 - c * hm)
-    # w[i+1] = w[i] + piece i at its right end, so the pieces join exactly
-    w = np.zeros_like(f0)
-    np.cumsum((((third_c * h + half_u) * h + f0) * h)[:-1], out=w[1:])
-    return xs[::2].copy(), third_c, half_u, f0.copy(), w
+    # w[i+1] = w[i] + piece i at its right end, so the pieces join exactly;
+    # one running sum per level keeps each level's order of additions
+    integral = ((third_c * h + half_u) * h + f0) * h
+    w = np.empty_like(f0)
+    w[starts] = 0.0
+    for lo, hi in zip(starts, starts[1:] + [len(w)]):
+        np.add.accumulate(integral[lo:hi - 1], out=w[lo + 1:hi])
+    return third_c, half_u, w
+
+
+def _floor_levels(floor: np.ndarray, values: np.ndarray, probe: np.ndarray
+                  ) -> Tuple[np.ndarray, tuple, np.ndarray]:
+    """Levels 0..m of a build in one pass over its floor mesh (level m,
+    2**m + 1 nodes) and the integrand there: the probe gaps of levels
+    1..m, level m's pieces and level m's values at the probes.
+
+    The pieces are numbered level by level: level 0 is piece 0, the chord
+    (its midpoint value is the mean of the end values), and level k >= 1
+    is pieces 2**(k-1) + j, j < 2**(k-1), each spanning 2**(m-k+1) floor
+    intervals from floor[j * span].  A probe's piece at level k is the last
+    that starts at or below it, j = J >> (m-k+1) for J its floor interval.
+    """
+    m = (len(floor) - 1).bit_length() - 1
+    level = np.arange(m + 1)
+    pieces_log = np.maximum(level - 1, 0)   # level k has 2**this pieces
+    start = (1 << level) >> 1               # level k's first piece
+    span = np.repeat((1 << m) >> pieces_log, 1 << pieces_log)
+    # (2**(k-1) + j) * span mod 2**m is j * span (0 at level 0)
+    left = (np.arange(1 << m) * span) & ((1 << m) - 1)
+    mid, right = left + (span >> 1), left + span
+    x0, f0, fm = floor[left], values[left], values[mid]
+    fm[0] = 0.5 * (values[0] + values[-1])
+    third_c, half_u, w = _quadratic_pieces(x0, floor[mid], floor[right],
+                                           f0, fm, values[right],
+                                           start.tolist())
+    # J, with b in the last interval: searched in all nodes but the last
+    below = floor[:-1].searchsorted(probe, side="right") - 1
+    piece = (below >> (m - pieces_log)[:, None]) + start[:, None]
+    t = probe - x0[piece]
+    at_probe = (((third_c[piece] * t + half_u[piece]) * t + f0[piece]) * t
+                + w[piece])
+    diff = at_probe[1:] - at_probe[:-1]
+    gaps = np.abs(diff, out=diff).max(axis=1)
+    top = slice(1 << (m - 1), None)
+    pieces = (floor[::2].copy(), third_c[top].copy(), half_u[top].copy(),
+              f0[top].copy(), w[top].copy())
+    return gaps, pieces, at_probe[-1]
+
+
+def _build_levels(evaluate: Callable[[np.ndarray], np.ndarray],
+                  a: float, b: float, first: int, probe: np.ndarray
+                  ) -> Iterator[Tuple[int, float, Optional[tuple]]]:
+    """Yield (level, gap, pieces) of a build of [a, b] for levels
+    1..MAX_REFINEMENT: levels 1..first from one pass over level first's
+    mesh, evaluated in one call (pieces only at level first, as no build
+    stalls below it), then each finer level from the previous mesh, its
+    midpoints and the integrand there.  gap is the probe-grid gap to the
+    level below; pieces are (breakpoints, third_c, half_u, v, w)."""
+    xs = _floor_mesh(a, b, first)
+    vals = evaluate(xs)
+    gaps, pieces, probe_prev = _floor_levels(xs, vals, probe)
+    for level, gap in enumerate(gaps.tolist(), 1):
+        yield level, gap, pieces if level == first else None
+    for level in range(first + 1, MAX_REFINEMENT + 1):
+        mid = 0.5 * (xs[:-1] + xs[1:])
+        new = evaluate(mid)
+        third_c, half_u, w = _quadratic_pieces(xs[:-1], mid, xs[1:],
+                                               vals[:-1], new, vals[1:], [0])
+        pieces = (xs, third_c, half_u, vals[:-1], w)
+        probe_cur = _cubic(pieces, probe)
+        yield level, float(np.abs(probe_cur - probe_prev).max()), pieces
+        xs, vals = _interleaved(xs, mid), _interleaved(vals, new)
+        probe_prev = probe_cur
 
 
 def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
@@ -193,9 +262,7 @@ def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
     levels 0..first from it (level k's new nodes are every 2s-th node from
     s = 2**(first - k)); later levels evaluate lazily.  evaluate is the
     integrand guard, so a failure names the array's first failing node."""
-    floor = np.array([a, b], dtype=float)
-    for _ in range(first):
-        floor = _interleaved(floor, 0.5 * (floor[:-1] + floor[1:]))
+    floor = _floor_mesh(a, b, first)
     values = evaluate(floor)
     for level in range(MAX_REFINEMENT + 1):
         if level <= first:
@@ -207,6 +274,18 @@ def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
             new_nodes = 0.5 * (nodes[:-1] + nodes[1:])
             nodes, new = _interleaved(nodes, new_nodes), evaluate(new_nodes)
         yield level, nodes, new
+
+
+def _floor_mesh(a: float, b: float, level: int) -> np.ndarray:
+    """The dyadic mesh of [a, b] at level (2**level + 1 nodes), each node
+    the midpoint of its neighbours one level coarser, so every coarser
+    mesh is a stride of it."""
+    mesh = np.empty((1 << level) + 1)
+    mesh[0], mesh[-1] = a, b
+    for k in range(level - 1, -1, -1):
+        s = 1 << k
+        mesh[s::2 * s] = 0.5 * (mesh[:-1:2 * s] + mesh[2 * s::2 * s])
+    return mesh
 
 
 def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -231,8 +310,10 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
                     cfg: BuildConfig = BuildConfig()) -> PiecewisePrimitive:
     """Build an antiderivative of a continuous f on a finite interval.
 
-    The nodes come from the shared dyadic kernel, started at
-    min_refinement, so the total cost is that of the finest mesh.  Raises
+    Levels 0..min_refinement come from one pass over the floor mesh
+    (level min_refinement), evaluated in one call; each later level
+    evaluates the midpoints of the previous mesh, so the total cost is
+    that of the finest mesh.  Raises
     RefinementExhausted when the probe-grid Cauchy criterion is not met
     within MAX_REFINEMENT levels, and EvaluationFailure when f fails at a
     node (f.many's guard) or a level's primitive overflows.
@@ -251,23 +332,17 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     # overflow is reported below as a non-finite gap (non-finite node values
     # by f.many), not as numpy warnings escaping ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for level, xs, new in _dyadic_levels(f.many, a, b,
-                                             cfg.min_refinement):
-            vals = new if level == 0 else _interleaved(vals, new)
-            pieces = _level_from_nodes(xs, vals)
-            probe_cur = _cubic(pieces, probe)
-            if level > 0:
-                gap = float(np.max(np.abs(probe_cur - probe_prev)))
-                if not math.isfinite(gap):
-                    # overflowing coefficients stay non-finite on finer meshes
-                    raise EvaluationFailure(
-                        f"primitive of {f.label or '<unnamed>'} on [{a}, {b}] "
-                        f"is not finite at level {level} (last finite gap "
-                        f"{history[-1] if history else None})")
-                history = history + (gap,)
-                if level >= cfg.min_refinement and _stalled(history, target, 2):
-                    return PiecewisePrimitive(*pieces, gap_history=history)
-            probe_prev = probe_cur
+        for level, gap, pieces in _build_levels(f.many, a, b,
+                                                cfg.min_refinement, probe):
+            if not math.isfinite(gap):
+                # overflowing coefficients stay non-finite on finer meshes
+                raise EvaluationFailure(
+                    f"primitive of {f.label or '<unnamed>'} on [{a}, {b}] "
+                    f"is not finite at level {level} (last finite gap "
+                    f"{history[-1] if history else None})")
+            history = history + (gap,)
+            if level >= cfg.min_refinement and _stalled(history, target, 2):
+                return PiecewisePrimitive(*pieces, gap_history=history)
 
     raise RefinementExhausted(
         f"no Cauchy stall for {f.label or '<unnamed>'} on [{a}, {b}] within "

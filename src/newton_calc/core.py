@@ -129,6 +129,16 @@ def as_interval(iv: Union[Interval, Sequence[float]]) -> Interval:
 # function wrapper
 # ---------------------------------------------------------------------------
 
+def _twin_failure(exc: Exception, fn: Callable[..., float], points: list,
+                  label: str, at: Callable[[int], str]) -> EvaluationFailure:
+    """For a vector twin that raised exc instead of returning non-finite
+    values: fn's failure at the first of points where it fails too, raised,
+    else exc as an EvaluationFailure naming the label."""
+    _evaluated(fn, points, label, at)
+    return EvaluationFailure(f"{label or '<unnamed>'} raised {exc!r} in its "
+                             f"vector twin only")
+
+
 def _checked(values: np.ndarray, label: str,
              at: Callable[[int], str]) -> np.ndarray:
     """values, or EvaluationFailure at the first non-finite one (C order)."""
@@ -164,7 +174,9 @@ class RealFunction:
     is non-finite where it raises.  ``at`` and ``many`` are the guard: a
     value that raises an ArithmeticError or ValueError or is not finite is
     an EvaluationFailure naming the label and the first failing point in
-    the order given (the limit kernel checks its own plain calls).
+    the order given (the limit kernel checks its own plain calls).  A twin
+    that raises instead is reported at the first point where the scalar
+    callable fails too.
     """
 
     fn: Callable[[float], float]
@@ -188,8 +200,12 @@ class RealFunction:
             points = [(x,) for x in arr.ravel().tolist()]
             return np.array(_evaluated(self.fn, points, self.label, at),
                             dtype=float).reshape(arr.shape)
-        with np.errstate(all="ignore"):
-            values = np.asarray(self.vector_fn(arr), dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(self.vector_fn(arr), dtype=float)
+        except (ArithmeticError, ValueError) as exc:
+            points = [(x,) for x in arr.ravel().tolist()]
+            raise _twin_failure(exc, self.fn, points, self.label, at) from exc
         return _checked(values, self.label, at)
 
 

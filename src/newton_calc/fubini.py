@@ -29,7 +29,7 @@ import numpy as np
 from .builder import (MAX_REFINEMENT, BuildConfig, RefinementExhausted,
                       _dyadic_levels, _stalled, build_primitive, ray_integral)
 from .core import (DecayViolation, Interval, RealFunction, _checked,
-                   _evaluated, as_interval)
+                   _evaluated, _twin_failure, as_interval)
 from .engine import PrimitivePair, newton_integral
 
 __all__ = [
@@ -73,13 +73,19 @@ class BivariateFunction:
             x, y = xs[i // len(ys)].item(), ys[i % len(ys)].item()
             return f"(x, y)=({x!r}, {y!r})"
 
+        def points() -> list:
+            return [(x, y) for x in xs.tolist() for y in ys.tolist()]
+
         if self.vector_fn is None:
-            points = [(x, y) for x in xs.tolist() for y in ys.tolist()]
-            return np.array(_evaluated(self.fn, points, self.label, at),
+            return np.array(_evaluated(self.fn, points(), self.label, at),
                             dtype=float).reshape(len(xs), len(ys))
-        with np.errstate(all="ignore"):
-            values = np.asarray(self.vector_fn(xs[:, None], ys[None, :]),
-                                dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(self.vector_fn(xs[:, None], ys[None, :]),
+                                    dtype=float)
+        except (ArithmeticError, ValueError) as exc:
+            raise _twin_failure(exc, self.fn, points(), self.label,
+                                at) from exc
         return _checked(values, self.label, at)
 
     def section_at_x(self, x: float) -> RealFunction:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from newton_calc import builder
-from newton_calc.builder import (BuildConfig, OutOfDomain,
+from newton_calc.builder import (MAX_REFINEMENT, BuildConfig, OutOfDomain,
                                  PiecewisePrimitive, RefinementExhausted,
-                                 _cubic, _dyadic_levels, _level_from_nodes,
-                                 _stalled, build_primitive, derivative_check,
+                                 build_primitive, derivative_check,
                                  dumps, loads, ray_integral)
 from newton_calc.core import (PRECISE_LIMIT_CONFIG, EvaluationFailure,
                               NonConvergent, RealFunction)
@@ -224,6 +223,36 @@ def test_raising_scalar_integrand_raises_evaluation_failure(integrate,
     assert isinstance(info.value.__cause__, (ArithmeticError, ValueError))
 
 
+# vector twins that raise where they should return non-finite values: the
+# scalar callable names the first failing point, if it fails at all
+@pytest.mark.parametrize("integrate, message", [
+    (lambda: build_primitive(
+        RealFunction(math.log, "log",
+                     vector_fn=lambda xs: [math.log(x) for x in xs]),
+        (0.0, 1.0)),
+     "log raised ValueError('math domain error') at x=0.0"),
+    (lambda: iterated_rectangle(
+        BivariateFunction(log_of_product, "log of product",
+                          vector_fn=lambda xs, ys: [
+                              [math.log(x * y) for y in ys[0]]
+                              for x in xs[:, 0]]),
+        (0.0, 1.0), (0.0, 1.0)),
+     "log of product raised ValueError('math domain error') "
+     "at (x, y)=(0.0, 0.0)"),
+    (lambda: build_primitive(
+        RealFunction(lambda x: x, "identity",
+                     vector_fn=lambda xs: [math.log(x - 0.5) for x in xs]),
+        (0.0, 1.0)),
+     "identity raised ValueError('math domain error') in its vector twin "
+     "only"),
+], ids=["build_primitive", "iterated_rectangle", "twin-only"])
+def test_raising_vector_twin_raises_evaluation_failure(integrate, message):
+    with pytest.raises(EvaluationFailure) as info:
+        integrate()
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 # poles at 1/4 and 1/32: first mesh nodes of [0, 1] at levels 2 and 5, both
 # below min_refinement 6, so one call evaluates both
 TWO_POLES = RealFunction(
@@ -345,29 +374,65 @@ def test_serialization_roundtrip_is_exact():
 
 
 def level_by_level_build(f, domain, cfg):
-    """Reference for build_primitive: the same pieces and gaps, but every
-    level from 0 up is its own integrand call on the level's new nodes."""
+    """Reference for build_primitive, kept apart from the code it checks:
+    every level from 0 up evaluates its own new nodes and gets its own
+    pieces, running sum, probe lookup and gap, one level at a time."""
     a, b = domain
     target = cfg.target_uniform_gap * (b - a)
     probe = np.minimum(np.linspace(a, b, cfg.probe_grid), b)
     history = ()
-    for level, xs, new in _dyadic_levels(f.many, a, b, 0):
-        if level == 0:
-            vals = new
-        else:
-            merged = np.empty(len(xs))
-            merged[0::2] = vals
-            merged[1::2] = new
-            vals = merged
-        pieces = _level_from_nodes(xs, vals)
-        probe_cur = _cubic(pieces, probe)
-        if level > 0:
-            history += (float(np.max(np.abs(probe_cur - probe_prev))),)
-            if (level >= cfg.min_refinement
-                    and _stalled(history, target, 2)):
-                return PiecewisePrimitive(*pieces, gap_history=history)
-        probe_prev = probe_cur
+    xs = np.array([a, b], dtype=float)
+    vals = f.many(xs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for level in range(MAX_REFINEMENT + 1):
+            if level == 0:
+                # the chord, as a quadratic through its midpoint
+                nodes = np.array([a, 0.5 * (xs[0] + xs[1]), b])
+                node_vals = np.array([vals[0], 0.5 * (vals[0] + vals[1]),
+                                      vals[1]])
+            else:
+                mid = 0.5 * (xs[:-1] + xs[1:])
+                new = f.many(mid)
+                nodes = np.empty(2 * len(xs) - 1)
+                node_vals = np.empty(2 * len(xs) - 1)
+                nodes[0::2], nodes[1::2] = xs, mid
+                node_vals[0::2], node_vals[1::2] = vals, new
+                xs, vals = nodes, node_vals
+            x0, xm, x2 = nodes[:-2:2], nodes[1::2], nodes[2::2]
+            f0, fm, f2 = node_vals[:-2:2], node_vals[1::2], node_vals[2::2]
+            hm, h = xm - x0, x2 - x0
+            d1 = (fm - f0) / hm
+            c = ((f2 - fm) / (x2 - xm) - d1) / h
+            third_c = c / 3.0
+            half_u = 0.5 * (d1 - c * hm)
+            w = np.zeros_like(f0)
+            np.cumsum((((third_c * h + half_u) * h + f0) * h)[:-1], out=w[1:])
+            breakpoints = nodes[::2].copy()
+            i = np.minimum(np.searchsorted(breakpoints, probe, side="right")
+                           - 1, len(w) - 1)
+            t = probe - breakpoints[i]
+            probe_cur = ((third_c[i] * t + half_u[i]) * t + f0[i]) * t + w[i]
+            if level > 0:
+                gap = float(np.max(np.abs(probe_cur - probe_prev)))
+                if not math.isfinite(gap):
+                    raise EvaluationFailure(
+                        f"primitive of {f.label or '<unnamed>'} on [{a}, "
+                        f"{b}] is not finite at level {level} (last finite "
+                        f"gap {history[-1] if history else None})")
+                history += (gap,)
+                if (level >= cfg.min_refinement and len(history) >= 2
+                        and max(history[-2:]) <= target):
+                    return PiecewisePrimitive(breakpoints, third_c, half_u,
+                                              f0.copy(), w,
+                                              gap_history=history)
+            probe_prev = probe_cur
     raise RefinementExhausted("no stall")
+
+
+def _three_ulps_above(x):
+    for _ in range(3):
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 @pytest.mark.parametrize("f, domain", [
@@ -375,12 +440,28 @@ def level_by_level_build(f, domain, cfg):
     (EXP_NEG_SQ, (-3.0, 2.5)),
     (LOG1P, (0.0, 1.0)),
     (RealFunction(lambda x: x * x, label="square"), (-1.0, 2.0)),
+    # duplicate mesh nodes: not finite at level 2
+    (EXP_NEG_SQ, (1.0, _three_ulps_above(1.0))),
+    # subnormal nodes: not finite at level 11 from min_refinement 12
+    (EXP_NEG_SQ, (0.0, 1e-320)),
+    (RealFunction(lambda x: math.exp(-x * x), label="scalar only"),
+     (-1.0, 2.0)),
+    # the primitive overflows at level 4
+    (RealFunction(lambda x: 2e306 * math.cos(40.0 * x), label="2e306 cos",
+                  vector_fn=lambda xs: 2e306 * np.cos(40.0 * xs)),
+     (0.0, 1.0)),
 ])
-@pytest.mark.parametrize("m", [1, 4, 6, 9])
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12])
 def test_build_is_bit_identical_to_level_by_level(f, domain, m):
     cfg = BuildConfig(min_refinement=m)
+    try:
+        ref = level_by_level_build(f, domain, cfg)
+    except EvaluationFailure as exc:
+        with pytest.raises(EvaluationFailure) as info:
+            build_primitive(f, domain, cfg)
+        assert str(info.value) == str(exc)
+        return
     got = build_primitive(f, domain, cfg)
-    ref = level_by_level_build(f, domain, cfg)
     assert got.gap_history == ref.gap_history
     for name in ("breakpoints", "third_c", "half_u", "v", "w"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()

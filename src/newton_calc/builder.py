@@ -16,16 +16,16 @@ practical stand-in for the uniform Cauchy bound
 With quadratic pieces that gap shrinks about 16x per level on smooth
 integrands (4x with linear pieces).
 
-The dyadic meshes (``_floor_mesh``) and the mesh stall rule (``_stalled``)
-are shared with ``fubini``'s inner integrals (refined by ``_dyadic_levels``).
-Both start at the lowest level that can stall (``min_refinement``, the
-inner floor), whose mesh is evaluated in one call by the integrand guard
-(``RealFunction.many``, ``BivariateFunction.grid``).  A build computes all
-its floor levels in one pass over that mesh (``_floor_levels``), then each
-finer level from the previous mesh, its midpoints and the integrand there;
-both take their pieces from ``_quadratic_pieces``, with one running sum per
-level, so each level's pieces and gap are those of a build of that level
-alone.
+One kernel, ``_dyadic_levels``, walks the dyadic meshes for builds and
+for ``fubini``'s inner integrals, which also share the mesh stall rule
+(``_stalled``).  It evaluates the mesh of the lowest level that can stall
+(``min_refinement``, the inner floor) in one call through the integrand
+guard (``RealFunction.many``, ``BivariateFunction.grid``), then each finer
+level's midpoints when asked.  A build computes all its floor levels in
+one pass over the floor mesh (``_floor_levels``), then each finer level
+from the previous mesh, its midpoints and the integrand there; both take
+their pieces from ``_quadratic_pieces``, with one running sum per level,
+so each level's pieces and gap are those of a build of that level alone.
 
 The result vanishes exactly at the left endpoint (the first ``w`` is 0).
 """
@@ -230,50 +230,38 @@ def _build_levels(evaluate: Callable[[np.ndarray], np.ndarray],
                   ) -> Iterator[Tuple[int, float, Optional[tuple]]]:
     """Yield (level, gap, pieces) of a build of [a, b] for levels
     1..MAX_REFINEMENT: levels 1..first from one pass over level first's
-    mesh, evaluated in one call (pieces only at level first, as no build
-    stalls below it), then each finer level from the previous mesh, its
-    midpoints and the integrand there.  gap is the probe-grid gap to the
-    level below; pieces are (breakpoints, third_c, half_u, v, w)."""
-    xs = _floor_mesh(a, b, first)
-    vals = evaluate(xs)
-    gaps, pieces, probe_prev = _floor_levels(xs, vals, probe)
+    mesh (pieces only at level first, as no build stalls below it), then
+    each finer level from the previous mesh, its midpoints and the
+    integrand there.  gap is the probe-grid gap to the level below; pieces
+    are (breakpoints, third_c, half_u, v, w)."""
+    levels = _dyadic_levels(evaluate, a, b, first)
+    floor, vals = next(levels)
+    gaps, pieces, probe_prev = _floor_levels(floor, vals, probe)
     for level, gap in enumerate(gaps.tolist(), 1):
         yield level, gap, pieces if level == first else None
-    for level in range(first + 1, MAX_REFINEMENT + 1):
-        mid = 0.5 * (xs[:-1] + xs[1:])
-        new = evaluate(mid)
+    for level, (xs, mid, new) in enumerate(levels, first + 1):
         third_c, half_u, w = _quadratic_pieces(xs[:-1], mid, xs[1:],
                                                vals[:-1], new, vals[1:], [0])
         pieces = (xs, third_c, half_u, vals[:-1], w)
         probe_cur = _cubic(pieces, probe)
         yield level, float(np.abs(probe_cur - probe_prev).max()), pieces
-        xs, vals = _interleaved(xs, mid), _interleaved(vals, new)
-        probe_prev = probe_cur
+        vals, probe_prev = _interleaved(vals, new), probe_cur
 
 
 def _dyadic_levels(evaluate: Callable[[np.ndarray], np.ndarray],
-                   a: float, b: float, first: int
-                   ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (level, nodes, new_values) on the dyadic meshes of [a, b], for
-    levels 0..MAX_REFINEMENT: the level's whole mesh, from one midpoint
-    recursion, and the integrand at the nodes it adds (both ends, then
-    nodes[1::2]) on the last axis (one f.many row, or 2-D grid rows).
-    The first request evaluates level first's mesh in one call and cuts
-    levels 0..first from it (level k's new nodes are every 2s-th node from
-    s = 2**(first - k)); later levels evaluate lazily.  evaluate is the
-    integrand guard, so a failure names the array's first failing node."""
-    floor = _floor_mesh(a, b, first)
-    values = evaluate(floor)
-    for level in range(MAX_REFINEMENT + 1):
-        if level <= first:
-            s = 1 << (first - level)
-            at = slice(0, None, s) if level == 0 else slice(s, None, 2 * s)
-            # contiguous, so it sums in the (pairwise) order of a fresh block
-            nodes, new = floor[::s], np.ascontiguousarray(values[..., at])
-        else:
-            new_nodes = 0.5 * (nodes[:-1] + nodes[1:])
-            nodes, new = _interleaved(nodes, new_nodes), evaluate(new_nodes)
-        yield level, nodes, new
+                   a: float, b: float, first: int) -> Iterator[tuple]:
+    """The one mesh kernel of builds and inner integrals: yield (floor,
+    values), level first's mesh of [a, b] and the integrand there in one
+    call, then (mesh, midpoints, values there) for each finer level up to
+    MAX_REFINEMENT, evaluated only when asked for.  The values lie on the
+    last axis (one f.many row, or 2-D grid rows); evaluate is the integrand
+    guard, so a failure names the array's first failing node."""
+    mesh = _floor_mesh(a, b, first)
+    yield mesh, evaluate(mesh)
+    for _ in range(first, MAX_REFINEMENT):
+        mid = 0.5 * (mesh[:-1] + mesh[1:])
+        yield mesh, mid, evaluate(mid)
+        mesh = _interleaved(mesh, mid)
 
 
 def _floor_mesh(a: float, b: float, level: int) -> np.ndarray:

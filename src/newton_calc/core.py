@@ -12,14 +12,22 @@ builder.ray_integral takes g(1), its integrand's limit at t = 1-, through
 it, and perfbench/spans.py counts limit steps there.  A finite end is
 approached at offsets 0.1 / 4**k (from at most half the interval's length,
 so no point leaves it; Hake's truncations from half of it); an infinite one
-is the same one-sided limit at t = 1- of G(t) = F(base +- t / (1 - t)), so
-a ray has no schedule of its own.  A limit counts as found only after three
-consecutive steps move the Richardson extrapolate by no more than the stall
-tolerance (a single small delta is too easy to hit by accident on an
-oscillating function).  Near an endpoint of large magnitude, where the
-points are rounded to a coarse grid, the extrapolate uses the actual
-offsets, so smooth limits are found up to |endpoint| of about 1e10; on a
-ray every x is finite, at most about 9e15.
+is the same one-sided limit at t = 1- of G(t) = F(base +- s t / (1 - t)),
+s = max(1, |base|), so a ray has no schedule of its own.  A limit counts
+as found only after three consecutive steps move the Richardson
+extrapolate by no more than the stall tolerance (a single small delta is
+too easy to hit by accident on an oscillating function).  Near an endpoint
+of large magnitude, where the points are rounded to a coarse grid, the
+extrapolate uses the actual offsets, so smooth limits are found up to
+|endpoint| of about 1e10; on a ray every x moves off the base, and an x
+that overflows ends the limit in NonConvergent.
+
+Every other evaluation of an integrand passes one guard, _guarded, or
+its scalar loop _evaluated (RealFunction.many and .at,
+BivariateFunction.grid): a value that raises an ArithmeticError or
+ValueError or is not finite, or a vector twin's value of another shape
+than the points', is an EvaluationFailure naming the integrand's label
+and the first failing point.
 
 All arithmetic is binary64.  Every operation here is pure given pure
 inputs, so concurrent use needs no locking.
@@ -129,26 +137,6 @@ def as_interval(iv: Union[Interval, Sequence[float]]) -> Interval:
 # function wrapper
 # ---------------------------------------------------------------------------
 
-def _twin_failure(exc: Exception, fn: Callable[..., float], points: list,
-                  label: str, at: Callable[[int], str]) -> EvaluationFailure:
-    """For a vector twin that raised exc instead of returning non-finite
-    values: fn's failure at the first of points where it fails too, raised,
-    else exc as an EvaluationFailure naming the label."""
-    _evaluated(fn, points, label, at)
-    return EvaluationFailure(f"{label or '<unnamed>'} raised {exc!r} in its "
-                             f"vector twin only")
-
-
-def _checked(values: np.ndarray, label: str,
-             at: Callable[[int], str]) -> np.ndarray:
-    """values, or EvaluationFailure at the first non-finite one (C order)."""
-    if not np.isfinite(values).all():
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise EvaluationFailure(f"{label or '<unnamed>'} returned "
-                                f"{values.flat[i].item()!r} at {at(i)}")
-    return values
-
-
 def _evaluated(fn: Callable[..., float], points: list, label: str,
                at: Callable[[int], str]) -> List[float]:
     """fn(*p) for each p in points, in order, under the guard."""
@@ -166,17 +154,43 @@ def _evaluated(fn: Callable[..., float], points: list, label: str,
     return out
 
 
+def _guarded(fn: Callable[..., float], twin: Optional[Callable[..., object]],
+             points: tuple, shape: tuple, label: str,
+             at: Callable[[int], str]) -> np.ndarray:
+    """fn at the points (arrays broadcast to shape) under the guard: one by
+    one in C order, else twin(*points) at once, whose value must have that
+    shape.  A twin that raises is reported at fn's first failing point,
+    else as failing in the twin only; at(i) names the i-th point."""
+    if twin is None:
+        columns = [p.ravel().tolist() for p in np.broadcast_arrays(*points)]
+        return np.array(_evaluated(fn, list(zip(*columns)), label, at),
+                        dtype=float).reshape(shape)
+    try:
+        with np.errstate(all="ignore"):
+            values = np.asarray(twin(*points), dtype=float)
+    except (ArithmeticError, ValueError) as exc:
+        _guarded(fn, None, points, shape, label, at)
+        raise EvaluationFailure(f"{label or '<unnamed>'} raised {exc!r} in "
+                                f"its vector twin only") from exc
+    if values.shape != shape:
+        raise EvaluationFailure(f"{label or '<unnamed>'} returned shape "
+                                f"{values.shape} from its vector twin at "
+                                f"points of shape {shape}")
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise EvaluationFailure(f"{label or '<unnamed>'} returned "
+                                f"{values.flat[i].item()!r} at {at(i)}")
+    return values
+
+
 @dataclass(frozen=True)
 class RealFunction:
     """A pure real -> real evaluation, optionally with a vectorized twin.
 
     The scalar callable is the contract; ``vector_fn`` agrees with it and
-    is non-finite where it raises.  ``at`` and ``many`` are the guard: a
-    value that raises an ArithmeticError or ValueError or is not finite is
-    an EvaluationFailure naming the label and the first failing point in
-    the order given (the limit kernel checks its own plain calls).  A twin
-    that raises instead is reported at the first point where the scalar
-    callable fails too.
+    is non-finite where it raises, with the points' shape.  ``at`` and
+    ``many`` evaluate under the guard (_evaluated, _guarded); the limit
+    kernel checks its own plain calls.
     """
 
     fn: Callable[[float], float]
@@ -192,21 +206,8 @@ class RealFunction:
 
     def many(self, xs: Iterable[float]) -> np.ndarray:
         arr = np.asarray(xs, dtype=float)
-
-        def at(i: int) -> str:
-            return f"x={arr.flat[i].item()!r}"
-
-        if self.vector_fn is None:
-            points = [(x,) for x in arr.ravel().tolist()]
-            return np.array(_evaluated(self.fn, points, self.label, at),
-                            dtype=float).reshape(arr.shape)
-        try:
-            with np.errstate(all="ignore"):
-                values = np.asarray(self.vector_fn(arr), dtype=float)
-        except (ArithmeticError, ValueError) as exc:
-            points = [(x,) for x in arr.ravel().tolist()]
-            raise _twin_failure(exc, self.fn, points, self.label, at) from exc
-        return _checked(values, self.label, at)
+        return _guarded(self.fn, self.vector_fn, (arr,), arr.shape,
+                        self.label, lambda i: f"x={arr.flat[i].item()!r}")
 
 
 def real_function(f: Union[RealFunction, Callable[[float], float]]
@@ -344,15 +345,16 @@ def endpoint_limit(F: Union[RealFunction, Callable[[float], float]],
     to half iv's length, then halved while the first point would not fall
     short of the other end (which it can reach on an interval a few ulps
     wide).  An infinite end is the limit at t = 1- of
-    F(base +- t / (1 - t)), base being the other end where that lies
-    beyond 0 on the ray's side and 0 otherwise, so x runs base +- 9, 39,
-    159, ... and never leaves iv; the Richardson columns in 1 - t cancel
-    the 1/x and 1/x**2 terms of tails such as arctan's.  Every x is finite:
-    once t rounds to 1 (after 26 points) the schedule ends.  Raises
-    NonConvergent when the deltas never stall or the schedule stops moving
-    first, and EvaluationFailure on NaN, overflow or an
-    ArithmeticError/ValueError from F anywhere in the schedule; either
-    message names the limit, as in "upper limit of F on (1.0, 2.0) at 2.0".
+    F(base +- s t / (1 - t)), base being the other end where that lies
+    beyond 0 on the ray's side and 0 otherwise and s = max(1, |base|), so
+    x runs base +- 9s, 39s, 159s, ... and never leaves iv or rounds onto
+    base; the Richardson columns in 1 - t cancel the 1/x and 1/x**2 terms
+    of tails such as arctan's.  Once t rounds to 1 (after 26 points) the
+    schedule ends.  Raises NonConvergent when the deltas never stall, the
+    schedule stops moving first or x overflows, and EvaluationFailure on
+    NaN, overflow or an ArithmeticError/ValueError from F anywhere in the
+    schedule; either message names the limit, as in "upper limit of F on
+    (1.0, 2.0) at 2.0".
     """
     F, iv = real_function(F), as_interval(iv)
     if end not in ("lower", "upper"):
@@ -365,12 +367,18 @@ def endpoint_limit(F: Union[RealFunction, Callable[[float], float]],
 
     if math.isinf(near):
         base = max(far, 0.0) if up else min(far, 0.0)
+        # beyond 1 the steps grow with the base, so x moves off it
+        scale = out * max(1.0, abs(base))
 
         def x_of(t: float) -> float:
-            return base + out * t / (1.0 - t)
+            return base + scale * t / (1.0 - t)
 
         def G(t: float) -> float:
-            return F(x_of(t))
+            x = x_of(t)
+            if not math.isfinite(x):
+                raise NonConvergent(f"{what()}: x={x!r} is not finite at "
+                                    f"t={t!r}")
+            return F(x)
 
         return _stalled_limit(G, 1.0, -1.0, _START_OFFSET, cfg, what, x_of)
     start = min(start, 0.5 * iv.length)

@@ -359,15 +359,14 @@ def substitute(pair: PrimitivePair,
                g: Union[RealFunction, Callable[[float], float]],
                g_prime: Union[RealFunction, Callable[[float], float]],
                source: Union[Interval, Tuple[float, float]],
-               flipped: bool = False,
                cfg: LimitConfig = DEFAULT_LIMIT_CONFIG) -> IdentityReport:
     """Verify the substitution rule  int_source (f o g) g' = int f.
 
     The source integral is evaluated through the antiderivative F o g; a
     finite-difference spot check confirms (F o g)' matches (f o g) g' at
-    sampled points, which is where a wrong g' gets caught.  With
-    ``flipped=True`` the substitution reverses orientation and the right
-    side is negated, which reproduces the same formula.
+    sampled points, which is where a wrong g' gets caught.  A g that
+    decreases on the samples of the range check reverses orientation, so
+    the right side is negated, which reproduces the same formula.
     """
     g = real_function(g)
     g_prime = real_function(g_prime)
@@ -393,6 +392,7 @@ def substitute(pair: PrimitivePair,
 
     lhs = newton_integral(pushed, cfg).value
     rhs = newton_integral(pair, cfg).value
-    if flipped:
+    # the samples run from the upper end of source down
+    if gx[0] < gx[-1]:
         rhs = -rhs
     return IdentityReport.equality(lhs, rhs, IDENTITY_TOLERANCE)

@@ -11,14 +11,19 @@ exist over infinite rectangles.
 Inner integrals are Newton integrals too: each is the right-endpoint value
 of the C^1 piecewise-cubic antiderivative of the piecewise-quadratic
 interpolant of the section on a dyadic mesh (the composite Simpson sum),
-refined by the builder's kernel (``_dyadic_levels``), started like every
-build at the lowest level that can stall (the inner floor), until that
-value stalls under the builder's stall rule (``_stalled``).  Every outer
-node stalls on its own, so an inner value depends on its node alone.
+refined until that value stalls under the builder's stall rule
+(``_stalled``).  The meshes come from the builder's one mesh kernel
+(``_dyadic_levels``): like every build, a batch of rows evaluates the
+mesh of the lowest level that can stall (the inner floor) in one
+``grid`` call, whose columns hold every coarser level, then each finer
+level's midpoints.  ``grid`` evaluates under the integrand guard,
+``core._guarded``, like ``RealFunction.many``.  Every outer node stalls on
+its own, so an inner value depends on its node alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,8 +33,8 @@ import numpy as np
 
 from .builder import (MAX_REFINEMENT, BuildConfig, RefinementExhausted,
                       _dyadic_levels, _stalled, build_primitive, ray_integral)
-from .core import (DecayViolation, Interval, RealFunction, _checked,
-                   _evaluated, _twin_failure, as_interval)
+from .core import (DecayViolation, Interval, RealFunction, _guarded,
+                   as_interval)
 from .engine import PrimitivePair, newton_integral
 
 __all__ = [
@@ -55,7 +60,8 @@ __all__ = [
 class BivariateFunction:
     """A pure (x, y) -> real evaluation with an optional vectorized twin.
 
-    vector_fn receives broadcastable arrays and must evaluate elementwise.
+    vector_fn receives broadcastable arrays and must evaluate elementwise,
+    to their broadcast shape.
     """
 
     fn: Callable[[float, float], float]
@@ -73,20 +79,8 @@ class BivariateFunction:
             x, y = xs[i // len(ys)].item(), ys[i % len(ys)].item()
             return f"(x, y)=({x!r}, {y!r})"
 
-        def points() -> list:
-            return [(x, y) for x in xs.tolist() for y in ys.tolist()]
-
-        if self.vector_fn is None:
-            return np.array(_evaluated(self.fn, points(), self.label, at),
-                            dtype=float).reshape(len(xs), len(ys))
-        try:
-            with np.errstate(all="ignore"):
-                values = np.asarray(self.vector_fn(xs[:, None], ys[None, :]),
-                                    dtype=float)
-        except (ArithmeticError, ValueError) as exc:
-            raise _twin_failure(exc, self.fn, points(), self.label,
-                                at) from exc
-        return _checked(values, self.label, at)
+        return _guarded(self.fn, self.vector_fn, (xs[:, None], ys[None, :]),
+                        (len(xs), len(ys)), self.label, at)
 
     def section_at_x(self, x: float) -> RealFunction:
         fn, vec, at = self.fn, self.vector_fn, float(x)
@@ -182,14 +176,19 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         rows = xs[index]
         levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
                                 _INNER_FLOOR)
+        _floor, values = next(levels)
+        ends = values[:, 0] + values[:, -1]
+        sums = ends.copy()
+        # two nodes carry no quadratic: level 0's value is T_0
+        trapezoid = value = 0.5 * length * ends
+        # level k <= the floor adds every 2s-th floor node from
+        # s = 2**(floor - k), cut contiguous so it sums in the (pairwise)
+        # order of a fresh block
+        cuts = (np.ascontiguousarray(values[:, s::2 * s])
+                for s in reversed([1 << k for k in range(_INNER_FLOOR)]))
+        finer = (new for _mesh, _mid, new in levels)
         gaps: List[np.ndarray] = []
-        for level, _ys, new in levels:
-            if level == 0:
-                ends = new[:, 0] + new[:, -1]
-                sums = ends.copy()
-                # two nodes carry no quadratic: level 0's value is T_0
-                trapezoid = value = 0.5 * length * ends
-                continue
+        for level, new in enumerate(itertools.chain(cuts, finer), 1):
             sums += new.sum(axis=1)
             refined = math.ldexp(length, -level) * (sums - 0.5 * ends)
             simpson = (4.0 * refined - trapezoid) / 3.0

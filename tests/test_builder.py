@@ -253,6 +253,34 @@ def test_raising_vector_twin_raises_evaluation_failure(integrate, message):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+# vector twins whose value does not have the points' shape: named with both
+# shapes, before a builder indexes it
+@pytest.mark.parametrize("twin, got", [
+    (lambda xs: 1.0, "()"),
+    (lambda xs: np.ones(3), "(3,)"),
+    (lambda xs: np.ones((len(xs), 1)), "(5, 1)"),
+], ids=["scalar", "fixed-length", "column"])
+def test_wrong_shape_vector_twin_raises_evaluation_failure(twin, got):
+    f = RealFunction(lambda x: 1.0, "one", vector_fn=twin)
+    with pytest.raises(EvaluationFailure) as info:
+        f.many(np.linspace(0.0, 1.0, 5))
+    assert str(info.value) == (f"one returned shape {got} from its vector "
+                               f"twin at points of shape (5,)")
+    with pytest.raises(EvaluationFailure, match="one returned shape"):
+        build_primitive(f, (0.0, 1.0))
+
+
+def test_wrong_shape_grid_twin_raises_evaluation_failure():
+    f = BivariateFunction(lambda x, y: x + y, "sum",
+                          vector_fn=lambda xs, ys: (xs + ys)[:, 0])
+    with pytest.raises(EvaluationFailure) as info:
+        f.grid(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5]))
+    assert str(info.value) == ("sum returned shape (3,) from its vector twin "
+                               "at points of shape (3, 2)")
+    with pytest.raises(EvaluationFailure, match="sum returned shape"):
+        iterated_rectangle(f, (0.0, 1.0), (0.0, 1.0))
+
+
 # poles at 1/4 and 1/32: first mesh nodes of [0, 1] at levels 2 and 5, both
 # below min_refinement 6, so one call evaluates both
 TWO_POLES = RealFunction(

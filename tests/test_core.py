@@ -182,13 +182,42 @@ def test_endpoint_limit_evaluates_only_inside(iv, end):
     (Interval(-math.inf, 5.0), "lower", 0.0),
 ])
 def test_ray_starts_from_the_finite_end_beyond_zero(iv, end, base):
-    # x = base +- t / (1 - t) from t = 0.9: base is a on (a, inf) with
-    # a > 0 and b on (-inf, b) with b < 0, else 0
+    # x = base +- max(1, |base|) t / (1 - t) from t = 0.9: base is a on
+    # (a, inf) with a > 0 and b on (-inf, b) with b < 0, else 0, so the
+    # first point is about 0 +- 9 or +-5 +- 45
     seen = []
     endpoint_limit(_spied_atan(seen), iv, end)
     out = 1.0 if end == "upper" else -1.0
-    assert seen[0] == base + out * 0.9 / (1.0 - 0.9)
+    assert seen[0] == base + out * max(1.0, abs(base)) * 0.9 / (1.0 - 0.9)
     assert all(out * (x - seen[0]) >= 0.0 for x in seen)
+
+
+@pytest.mark.parametrize("a", [1e15, 1e18, 1e21, 1e25, 1e30, 1e300])
+@pytest.mark.parametrize("end", ["upper", "lower"])
+def test_ray_from_a_large_base_never_evaluates_its_end(a, end):
+    # atan of the distance from the finite end a, on (a, inf) or mirrored
+    # on (-inf, -a): x = a + t / (1 - t) alone would round onto a while
+    # t / (1 - t) is below half an ulp of a, and stall on points that did
+    # not move
+    seen = []
+    iv = Interval(a, math.inf) if end == "upper" else Interval(-math.inf, -a)
+
+    def F(x):
+        seen.append(x)
+        return math.atan(x - a if end == "upper" else -a - x)
+
+    res = endpoint_limit(F, iv, end)
+    assert res.converged and abs(res.value - math.pi / 2) <= 1e-9
+    assert all(iv.a < x < iv.b for x in seen)
+
+
+@pytest.mark.parametrize("iv, end", [(Interval(1e308, math.inf), "upper"),
+                                     (Interval(-math.inf, -1e308), "lower")])
+def test_ray_whose_points_overflow_is_nonconvergent(iv, end):
+    seen = []
+    with pytest.raises(NonConvergent, match="not finite"):
+        endpoint_limit(_spied_atan(seen), iv, end)
+    assert all(math.isfinite(x) for x in seen)
 
 
 @pytest.mark.parametrize("iv, midpoint", [(Interval(1.0, 2.0), 1.5),

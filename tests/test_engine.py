@@ -416,8 +416,7 @@ def test_substitute_flip():
         pair,
         g=RealFunction(lambda t: -t),
         g_prime=RealFunction(lambda t: -1.0),
-        source=Interval(-math.inf, 0.0),
-        flipped=True)
+        source=Interval(-math.inf, 0.0))
     assert rep.holds
     # the left half-line integral equals the right half-line integral
     assert abs(rep.lhs + newton_integral(pair).value) <= 1e-6

@@ -137,14 +137,13 @@ def level_by_level_inner_values(f, xs, y_iv, cfg):
         index = np.arange(start, min(start + _INNER_CHUNK, len(xs)))
         rows = xs[index]
         levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, 0)
+        _ys, new = next(levels)
+        ends = new[:, 0] + new[:, -1]
+        sums = ends.copy()
+        trapezoid = value = 0.5 * length * ends
         gaps = []
-        for level, _ys, new in levels:
+        for level, (_ys, _mid, new) in enumerate(levels, 1):
             h = math.ldexp(length, -level)
-            if level == 0:
-                ends = new[:, 0] + new[:, -1]
-                sums = ends.copy()
-                trapezoid = value = 0.5 * h * ends
-                continue
             sums += new.sum(axis=1)
             refined = h * (sums - 0.5 * ends)
             simpson = (4.0 * refined - trapezoid) / 3.0

@@ -1,5 +1,5 @@
 """Static scan: no settable value without a caller, no unused import, no
-environment read.
+environment read, no private name imported across modules unless listed.
 
 Every defaulted parameter in src/ must be set by name or by position in
 at least one call somewhere in src/, tests/ or perfbench/, and every
@@ -223,3 +223,27 @@ def test_each_name_kept_for_tests_is_used_by_its_test():
                     if isinstance(n, ast.FunctionDef) and n.name == function)
         assert name in {n.id for n in ast.walk(body)
                         if isinstance(n, ast.Name)}, test
+
+
+# the private names one module of src/ may import from another: the mesh
+# kernel and stall rule that builds and inner integrals share, the
+# integrand guard, and the x log x - x that sums takes from functions
+_PRIVATE_IMPORTS = {
+    ("fubini.py", "builder", "_dyadic_levels"),
+    ("fubini.py", "builder", "_stalled"),
+    ("fubini.py", "core", "_guarded"),
+    ("sums.py", "functions", "_xlogx_minus_x"),
+}
+
+
+def test_private_names_cross_modules_only_as_allowed():
+    imported = set()
+    for path in SRC:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0
+                    or (node.module or "").startswith("newton_calc")):
+                source = (node.module or "").rpartition(".")[2]
+                imported |= {(path.name, source, a.name) for a in node.names
+                             if a.name.startswith("_")}
+    assert imported == _PRIVATE_IMPORTS

@@ -301,15 +301,20 @@ def _stalled_limit(F: Callable[[float], float], endpoint: float,
         h = x - endpoint
         if h == 0.0 or h == h1:
             break
-        steps += 1
         try:
             val = F(x)
+        except NonConvergent as exc:
+            # a ray's G ends the schedule where x overflows
+            raise NonConvergent(str(exc), last_value=prev,
+                                last_delta=last_delta,
+                                steps_used=steps) from exc
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationFailure(f"{what()}: function raised {exc!r} "
                                     f"at x={x_of(x)!r}") from exc
         if not math.isfinite(val):
             raise EvaluationFailure(f"{what()}: function returned {val!r} "
                                     f"at x={x_of(x)!r}")
+        steps += 1
         if h1 is not None:
             q = h1 / h
             if abs(q - _APPROACH_FACTOR) <= _RATIO_SLACK:

@@ -108,18 +108,17 @@ def bivariate(f: Union[BivariateFunction, Callable[[float, float], float]]
 class TailBound:
     """Truncation certificate for the special infinite case at a given b.
 
-    The constants are computed at startup, not hard-coded: c_gauss is the
-    half-line Gaussian integral, c0 = max_{x>=1} x**3 exp(-x**2),
-    c1 = max_{x>=0} x exp(-x**2), and c2 is the smallest power of two
-    dominating the inner-integral profile z**(4/3) / (2 (1 + z**2)) on a
-    grid.  bound_A and bound_B are the two truncation tail estimates
-    instantiated at this b.
+    c_gauss is the built half-line Gaussian integral, c0 =
+    max_{x>=1} x**3 exp(-x**2), and c2 = 1/2, the smallest power of two
+    above the inner-integral profile z**(4/3) / (2 (1 + z**2)), whose
+    maximum is 2**(2/3) / 6 at z = sqrt(2) (see tail_constants).  bound_A
+    and bound_B are the two truncation tail estimates instantiated at
+    this b.
     """
 
     b: float
     c_gauss: float
     c0: float
-    c1: float
     c2: float
     bound_A: float
     bound_B: float
@@ -275,30 +274,17 @@ def gaussian_half_line_built() -> float:
 
 
 @lru_cache(maxsize=None)
-def tail_constants() -> Tuple[float, float, float, float]:
-    """(c_gauss, c0, c1, c2), computed at first use.
+def tail_constants() -> Tuple[float, float, float]:
+    """(c_gauss, c0, c2); c_gauss is built at first use.
 
-    c0 and c1 are the values at the maximisers, x = sqrt(3/2) of
-    x**3 exp(-x**2) and x = sqrt(1/2) of x exp(-x**2).  c2 is the
-    smallest power of two with inner(z) < c2 * z**(-4/3) over a log grid
-    on [1, 1e4]; the inner profile comes from the closed-form
-    antiderivative -exp(-x^2 (1+z^2)) / (2 (1+z^2)).
+    c0 is x**3 exp(-x**2) at its maximiser x = sqrt(3/2).  c2 bounds
+    z**(4/3) times the inner integral, which is 1 / (2 (1 + z**2)) by the
+    closed-form antiderivative -exp(-x^2 (1+z^2)) / (2 (1+z^2)); that
+    profile's derivative vanishes where 4 (1 + z**2) = 6 z**2, at
+    z = sqrt(2), so its maximum is 2**(2/3) / 6 = 0.2646, and c2 is the
+    smallest power of two above it, 1/2.
     """
-    c = gaussian_half_line_built()
-    c0 = 1.5 ** 1.5 * math.exp(-1.5)
-    c1 = math.sqrt(0.5) * math.exp(-0.5)
-
-    def inner_profile(z: float) -> float:
-        return newton_integral(pair_from_inner_closed_form(z)).value
-
-    zs = np.geomspace(1.0, 1e4, 129)
-    ratios = [inner_profile(float(z)) * z ** (4.0 / 3.0) for z in zs]
-    worst = max(ratios)
-    exponent = math.ceil(math.log2(worst))
-    c2 = 2.0 ** exponent
-    if not worst < c2:
-        c2 *= 2.0
-    return c, c0, c1, float(c2)
+    return gaussian_half_line_built(), 1.5 ** 1.5 * math.exp(-1.5), 0.5
 
 
 def pair_from_inner_closed_form(z: float) -> PrimitivePair:
@@ -319,13 +305,13 @@ def pair_from_inner_closed_form(z: float) -> PrimitivePair:
 
 
 def bound_A_at(b: float) -> float:
-    c, c0, _c1, _c2 = tail_constants()
+    c, c0, _c2 = tail_constants()
     return c * b ** -0.5 + b * math.exp(-math.sqrt(b)) \
         + c0 * (1.0 + math.exp(-1.0)) / b
 
 
 def bound_B_at(b: float) -> float:
-    _c, _c0, _c1, c2 = tail_constants()
+    _c, _c0, c2 = tail_constants()
     return (b * b + b) * math.exp(-b) + 3.0 * c2 * b ** (-1.0 / 3.0)
 
 
@@ -354,9 +340,9 @@ def special_infinite_fubini(b: float) -> IteratedIntegralReport:
     f = special_integrand()
     a_b = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", cfg)
     b_b = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", cfg)
-    c, c0, c1, c2 = tail_constants()
+    c, c0, c2 = tail_constants()
     full = c * c
-    cert = TailBound(b=b, c_gauss=c, c0=c0, c1=c1, c2=c2,
+    cert = TailBound(b=b, c_gauss=c, c0=c0, c2=c2,
                      bound_A=bound_A_at(b), bound_B=bound_B_at(b))
     holds = (abs(full - a_b) <= cert.bound_A
              and abs(full - b_b) <= cert.bound_A + cert.bound_B)

@@ -10,9 +10,9 @@ concentrate and reduce_to_gauss check the middle steps; stirling_via_laplace
 uses the main term alone, so its number rests on gauss_integral only.
 Every built integral over a ray is builder.ray_integral's, cut nowhere.
 
-Order constants in the concentration and reduction steps are calibrated
-empirically at the smallest usable n and then asserted, never loosened, at
-larger n.
+Every bound checked here is proven, not fitted: concentrate's four piece
+bounds, reduce_to_gauss's tolerance and stirling_via_laplace's constant
+1/12 are closed forms, each derived where it is used.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 
 
 class BudgetViolation(NewtonCalcError):
-    """A measured concentration piece exceeded its calibrated bound."""
+    """A measured concentration piece exceeded its proven bound."""
 
 
 class GammaOverflow(NewtonCalcError):
@@ -96,8 +96,9 @@ class ConcentrationBudget:
 
     I2 is the bulk over (-delta, delta); I1, I3, I4 are the tails over
     (-1, -delta), (delta, 4) and (4, inf).  main_term is the pure Gaussian
-    bulk, rel_correction_bound the allowance for I2 / main_term - 1, and
-    tail_bound the exp(-n delta^2 / 2) unit the tail pieces are measured in.
+    bulk, rel_correction_bound the proven bound on |I2 / main_term - 1|,
+    and tail_bound T = exp(-n delta^2 / 2), the scale of the tail pieces'
+    bounds (see concentrate).
     """
 
     I1: float
@@ -114,8 +115,10 @@ class ConcentrationBudget:
 # the decomposition point where 1 + y <= exp(y/2) starts to hold
 _OUTER_SPLIT = 4.0
 
-# nominal precondition is n * delta**3 < 1/2; the calibration point
-# (n = 25 at epsilon = 0.3) sits at 0.526, so the gate admits it
+# the paper's precondition is n * delta**3 < 1/2; concentrate's bounds are
+# proven for every delta in (0, 1), so the cap only keeps n delta^3 a small
+# parameter; 0.75 admits n = 25 at epsilon = 0.3 (0.526) and n = 2 at
+# epsilon = 0.05 (0.731), beyond the paper's 1/2, and the bounds hold there
 _N_DELTA_CUBED_CAP = 0.75
 
 _PIECE_CFG = BuildConfig(target_uniform_gap=1e-10, probe_grid=129)
@@ -223,48 +226,44 @@ def _concentrate_raw(cfg: LaplaceConfig) -> Tuple[float, float, float, float,
     return I1, I2, I3, I4, main, full
 
 
-@lru_cache(maxsize=None)
-def _calibration() -> Tuple[float, float]:
-    """(tail constant, correction constant), fixed at n = 25, eps = 0.3.
-
-    Never loosened afterwards: larger n must fit under the same constants.
-    """
-    cal = LaplaceConfig(epsilon=0.3, n=25)
-    I1, I2, I3, I4, main, _full = _concentrate_raw(cal)
-    tail_ratio = max(I1, I3, I4) / cal.tail_scale
-    r_ratio = abs(I2 / main - 1.0) / cal.n_delta_cubed
-    return (max(1.0, math.ceil(tail_ratio)), max(1.0, math.ceil(r_ratio)))
-
-
 def concentrate(cfg: LaplaceConfig) -> ConcentrationBudget:
     """Measure the four-piece decomposition and check it against budget.
 
-    Raises BudgetViolation when a tail piece exceeds its calibrated
-    multiple of exp(-n delta^2 / 2) or the bulk's relative correction
-    exceeds its calibrated multiple of n delta^3.
+    The integrand is exp(n phi(y)) with phi(y) = log(1 + y) - y; write
+    T = exp(-n delta^2 / 2).  Raises BudgetViolation when a piece exceeds
+    its proven bound:
+    - I1 <= T / (n delta): phi(-u) <= -u^2 / 2, and the Mills ratio gives
+      the integral of exp(-n u^2 / 2) over (delta, inf) <= T / (n delta);
+    - I3 <= T exp(n delta^3 / 3) (1 + delta) / (n delta): phi is concave,
+      so it lies below its tangent at delta, of slope -delta / (1 + delta),
+      and phi(delta) <= -delta^2 / 2 + delta^3 / 3;
+    - I4 <= (2 / n) exp(-2n): 1 + y <= exp(y / 2) for y >= 4;
+    - |I2 / main_term - 1| <= expm1(n delta^3 / (3 (1 - delta))):
+      |phi(y) + y^2 / 2| <= |y|^3 / (3 (1 - |y|)) on the bulk.
     """
     if not cfg.n_delta_cubed < _N_DELTA_CUBED_CAP:
         raise ValueError(
             f"n * delta^3 = {cfg.n_delta_cubed:.3f} is not a small "
             f"parameter (needs < {_N_DELTA_CUBED_CAP})")
-    c_tail, c_r = _calibration()
     I1, I2, I3, I4, main, full = _concentrate_raw(cfg)
-    tail_scale = cfg.tail_scale
+    n, d, T = cfg.n, cfg.delta, cfg.tail_scale
     r = I2 / main - 1.0
+    r_bound = math.expm1(cfg.n_delta_cubed / (3.0 * (1.0 - d)))
     slack = 1.0 + 1e-9
-    for name, piece in (("I1", I1), ("I3", I3), ("I4", I4)):
-        if piece > c_tail * tail_scale * slack:
+    for name, piece, bound in (
+            ("I1", I1, T / (n * d)),
+            ("I3", I3, T * math.exp(cfg.n_delta_cubed / 3.0) * (1.0 + d)
+             / (n * d)),
+            ("I4", I4, 2.0 / n * math.exp(-2.0 * n)),
+            ("|r|", abs(r), r_bound)):
+        if piece > bound * slack:
             raise BudgetViolation(
-                f"{name} = {piece:.3e} exceeds {c_tail} * exp(-n d^2/2) "
-                f"= {c_tail * tail_scale:.3e} at n = {cfg.n}")
-    if abs(r) > c_r * cfg.n_delta_cubed * slack:
-        raise BudgetViolation(
-            f"|r| = {abs(r):.3e} exceeds {c_r} * n delta^3 "
-            f"= {c_r * cfg.n_delta_cubed:.3e} at n = {cfg.n}")
+                f"{name} = {piece:.3e} exceeds its bound {bound:.3e} "
+                f"at n = {n}")
     return ConcentrationBudget(
         I1=I1, I2=I2, I3=I3, I4=I4, main_term=main,
-        rel_correction_bound=c_r * cfg.n_delta_cubed,
-        tail_bound=tail_scale, measured_r=r, full_value=full)
+        rel_correction_bound=r_bound, tail_bound=T, measured_r=r,
+        full_value=full)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +275,16 @@ def reduce_to_gauss(cfg: LaplaceConfig) -> IdentityReport:
 
     The outer tail I6 over (delta, inf) is built on the whole ray, at the
     scale 1 / (n delta) over which exp(-n y^2 / 2) decays beyond delta.
+    The tolerance is I6's Mills bound exp(-n delta^2 / 2) / (n delta), at
+    least 1e-10, the pieces' gap target.
     """
     n, d = cfg.n, cfg.delta
     g = _gaussian(n)
     lhs = _piece(g, -d, d)
     I6 = ray_integral(g, d, 1.0 / (n * d), _PIECE_CFG)
     rhs = math.sqrt(2.0 / n) * gauss_integral() - 2.0 * I6
-    c_tail, _ = _calibration()
-    tolerance = max(c_tail * cfg.tail_scale, 1e-10)
-    return IdentityReport.equality(lhs, rhs, tolerance)
+    return IdentityReport.equality(lhs, rhs,
+                                   max(cfg.tail_scale / (n * d), 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +327,6 @@ def gauss_integral() -> float:
 # final assembly
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _laplace_bound_constant() -> float:
-    # err(n) * n**(1/2 - eps) decreases in n (the true error falls like
-    # 1/n), and n**(eps - 1/2) is 1 at n = 1, so calibrating there gives
-    # one constant valid for every n and eps; the 1 + 1e-9 keeps the
-    # calibration point inside its own bound after the power-law round trip
-    err = abs(log_factorial(1) - _laplace_log_main(1))
-    return err * (1.0 + 1e-9)
-
-
-def _laplace_log_main(n: int) -> float:
-    G = gauss_integral()
-    return -n + (n + 1.0) * math.log(n) + 0.5 * math.log(2.0 / n) + math.log(G)
-
-
 def stirling_via_laplace(n: int, epsilon: float = 0.3) -> AsymptoticRecord:
     """log n! versus the concentration main term, with an n**(eps - 1/2) bound.
 
@@ -349,17 +334,18 @@ def stirling_via_laplace(n: int, epsilon: float = 0.3) -> AsymptoticRecord:
     integral, assembled in log space.  The number rests on
     gauss_integral() alone: concentrate and reduce_to_gauss, which justify
     dropping the correction and tail pieces, are not evaluated here.  The
-    bound constant is calibrated once at n = 1 (for every epsilon) from
-    the record's own error, not from the measured pieces.
+    main term is Stirling's formula with the built G in place of sqrt(pi),
+    so the error is Binet's mu(n) up to G's rounding, and
+    0 < mu(n) < 1/(12n) <= n**(eps - 1/2) / 12: the bound constant is 1/12.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
     exact = log_factorial(n)
-    approx = _laplace_log_main(n)
-    C = _laplace_bound_constant()
+    approx = (-n + (n + 1.0) * math.log(n) + 0.5 * math.log(2.0 / n)
+              + math.log(gauss_integral()))
     return AsymptoticRecord(
         n=n, log_factorial_exact=exact, approximation=approx,
         abs_error=abs(exact - approx),
-        predicted_bound=C * float(n) ** (epsilon - 0.5))
+        predicted_bound=float(n) ** (epsilon - 0.5) / 12.0)

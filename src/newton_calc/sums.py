@@ -104,8 +104,9 @@ class AsymptoticRecord:
     @property
     def within_bound(self) -> bool:
         """abs_error <= predicted_bound, up to 4 ulps of the larger value
-        compared: both values are rounded, and at large n (7e6 on the sum
-        route) a bound C/n falls below their rounding."""
+        compared: both values are rounded, and at large n (1e5 for the
+        first expression, 7e6 for the incomplete formula) a proven bound
+        C/n comes within their rounding of the error, or below it."""
         scale = max(abs(self.log_factorial_exact), abs(self.approximation))
         return self.abs_error <= self.predicted_bound + 4.0 * math.ulp(scale)
 
@@ -238,34 +239,30 @@ def log_factorial_table(n_max: int) -> np.ndarray:
     return np.cumsum(logs)
 
 
-def _strip_integral(lo: float, hi: float) -> float:
-    return _xlogx_minus_x(hi) - _xlogx_minus_x(lo)
-
-
-@lru_cache(maxsize=None)
-def _first_expression_constant() -> float:
-    """Error-bound constant for the first expression, calibrated at n = 10."""
-    n = 10
-    approx = strip_constant() + _strip_integral(0.5, n + 0.5)
-    err = abs(log_factorial(n) - approx)
-    return 1.5 * err * n
+# The first expression's error is the tail of the strip remainders beyond
+# n.  r_m is the midpoint-rule error of log on [m - 1/2, m + 1/2], so
+# |r_m| <= max |log''| / 24 = 1/(24 (m - 1/2)^2) there.  That bound is convex
+# in m, so each term is at most its mean over [m - 1/2, m + 1/2], and the sum
+# over m > n is at most the integral over (n + 1/2, inf), which is 1/(24n).
+_FIRST_EXPRESSION_C = 1.0 / 24.0
 
 
 def log_factorial_first_expression(n: int) -> AsymptoticRecord:
     """log(n!) via the strip constant plus the integral of log.
 
-    The predicted bound is C / n with C calibrated once at n = 10 and a
-    50 percent margin; the remainder is a tail of strictly negative
-    O(m^-2) strip terms, so the scaled error shrinks as n grows.
+    The predicted bound is C / n with C = 1/24, proven from the strip
+    remainders (_FIRST_EXPRESSION_C); the error is their tail beyond n,
+    a sum of strictly negative terms, and 24 n times it rises to 1 from
+    0.65 at n = 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     exact = log_factorial(n)
-    approx = strip_constant() + _strip_integral(0.5, n + 0.5)
+    approx = strip_constant() + (_xlogx_minus_x(n + 0.5) - _xlogx_minus_x(0.5))
     return AsymptoticRecord(
         n=n, log_factorial_exact=exact, approximation=approx,
         abs_error=abs(exact - approx),
-        predicted_bound=_first_expression_constant() / n)
+        predicted_bound=_FIRST_EXPRESSION_C / n)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +282,12 @@ def stirling_constant_estimate() -> float:
     return math.exp(strip_constant() + 0.5 + 0.5 * math.log(2.0))
 
 
-def _incomplete_main_part(n: int) -> float:
-    return n * math.log(n) - n + 0.5 * math.log(n)
-
-
-@lru_cache(maxsize=None)
-def _incomplete_bound_constant() -> float:
-    n = 10
-    err = abs(log_factorial(n)
-              - (_incomplete_main_part(n) + math.log(stirling_constant_estimate())))
-    return 1.5 * err * n
+# log d_n - log d = [(n + 1/2) log(1 + 1/(2n)) - 1/2] - (strip tail beyond
+# n).  With u = 1/(2n) the bracket is ((1 + 1/u) log(1 + u) - 1) / 2, and
+# (1 + 1/u) log(1 + u) = 1 + u/2 - u^2/6 + ... lies in (1, 1 + u/2), so the
+# bracket lies in (0, 1/(8n)).  The tail lies in (0, 1/(24n)) (see
+# _FIRST_EXPRESSION_C) and is subtracted, so |log d_n - log d| < 1/(8n).
+_INCOMPLETE_C = 1.0 / 8.0
 
 
 def incomplete_stirling(n: int) -> Tuple[float, AsymptoticRecord]:
@@ -302,16 +295,16 @@ def incomplete_stirling(n: int) -> Tuple[float, AsymptoticRecord]:
 
     d_n is exp(log n! - (n log n - n + (log n)/2)); the record compares
     log n! with the main part plus this module's own limit estimate, so
-    its error is |log d_n - log d| = O(1/n).
+    its error is |log d_n - log d|, below 1/(8n) (_INCOMPLETE_C).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     exact = log_factorial(n)
-    main = _incomplete_main_part(n)
+    main = n * math.log(n) - n + 0.5 * math.log(n)
     d_n = math.exp(exact - main)
     approx = main + math.log(stirling_constant_estimate())
     record = AsymptoticRecord(
         n=n, log_factorial_exact=exact, approximation=approx,
         abs_error=abs(exact - approx),
-        predicted_bound=_incomplete_bound_constant() / n)
+        predicted_bound=_INCOMPLETE_C / n)
     return d_n, record

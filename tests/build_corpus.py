@@ -11,9 +11,12 @@ call built (for ``iterated_rectangle``, the outer build), or the error
 class and message the call raised.
 
 ``tests/golden/builds.json`` holds the record; ``test_build_corpus.py``
-compares it.  A change that moves numbers on purpose regenerates it with
+compares it.  The record is taken on numpy's x86 baseline, which
+``tests/conftest.py`` sets for the tests.  A change that moves numbers on
+purpose regenerates it under the same baseline with
 
-    PYTHONPATH=src python tests/build_corpus.py
+    NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
+        PYTHONPATH=src python tests/build_corpus.py
 
 and says in CHANGES.md how many cases moved in each family and by how
 much.

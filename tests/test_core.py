@@ -220,6 +220,26 @@ def test_ray_whose_points_overflow_is_nonconvergent(iv, end):
     assert all(math.isfinite(x) for x in seen)
 
 
+def test_ray_overflow_reports_the_schedule_tail():
+    # x = 1e300 + 1e300 t / (1 - t) overflows at the 14th point; the error
+    # carries the kernel's own count of the 13 evaluated points, its last
+    # extrapolate R2 and its last move
+    def x_of(k):
+        t = 1.0 - 0.1 / 4.0 ** k
+        return 1e300 + 1e300 * t / (1.0 - t)
+
+    with pytest.raises(NonConvergent, match="x=inf is not finite") as info:
+        endpoint_limit(lambda x: x * 1e-300, (1e300, math.inf), "upper")
+    values = [x_of(k) * 1e-300 for k in range(13)]
+    assert math.isinf(x_of(13))
+    r1 = [v + (v - u) / 3.0 for u, v in zip(values, values[1:])]
+    r2 = [s + (s - r) / 15.0 for r, s in zip(r1, r1[1:])]
+    err = info.value
+    assert err.steps_used == 13
+    assert err.last_value == r2[-1]
+    assert err.last_delta == abs(r2[-1] - r2[-2])
+
+
 @pytest.mark.parametrize("iv, midpoint", [(Interval(1.0, 2.0), 1.5),
                                           (Interval(-math.inf, 0.0), -1.0)])
 def test_hake_first_truncation_point_is_the_midpoint(iv, midpoint):

@@ -287,16 +287,21 @@ def test_tail_certificate_soundness(b):
 
 
 def test_tail_constants_are_the_stated_maxima():
-    c, c0, c1, c2 = tail_constants()
+    c, c0, c2 = tail_constants()
     assert abs(c - gaussian_half_line_built()) == 0.0
-    # closed-form maximizers: x^3 exp(-x^2) peaks at sqrt(3/2),
-    # x exp(-x^2) at sqrt(1/2)
+    # closed-form maximizer: x^3 exp(-x^2) peaks at sqrt(3/2)
     assert c0 == pytest.approx(1.5 ** 1.5 * math.exp(-1.5), rel=1e-9)
-    assert c1 == pytest.approx(math.sqrt(0.5) * math.exp(-0.5), rel=1e-9)
     assert c2 == 0.5
     zs = np.geomspace(1.0, 1e4, 257)
     profile = zs ** (4.0 / 3.0) / (2.0 * (1.0 + zs * zs))
     assert np.all(profile < c2)
+    # the profile peaks at z = sqrt(2), at 2^(2/3) / 6, above a quarter
+    peak = 2.0 ** (2.0 / 3.0) / 6.0
+    z = math.sqrt(2.0)
+    assert z ** (4.0 / 3.0) / (2.0 * (1.0 + z * z)) == pytest.approx(
+        peak, rel=1e-15)
+    assert np.all(profile <= peak * (1.0 + 1e-15))
+    assert c2 / 2.0 < peak < c2
 
 
 def test_bounds_decrease_for_large_b():

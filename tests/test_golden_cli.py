@@ -58,6 +58,20 @@ case's xy and yx values (by 1.8e-15 and 6.7e-16, on errors of 1.05e-7 and
 by its 1e-8 gap target), and wallis' by_integral at n = 3, 5, 9, 13, 17,
 18, 20 and 30 (at most 1.44e-14 -> 1.80e-14, at n = 3); it moved closer
 at 21 of the 31 n, and its largest error went from 3.15e-14 to 3.11e-14.
+stirling.txt's predicted_bound column moved when the bound constants
+stopped being fitted to the library's own output and became the proven
+closed forms: the sum rows from 0.124958/n to 1/(8n) (0.0124958451715314
+-> 0.0125 at n = 10), the Laplace rows from 0.081061 n**(eps - 1/2) to
+n**(eps - 1/2) / 12 (0.0511463278799954 -> 0.0525797787066828 at n = 10);
+every other column, and every within_bound, is unchanged.
+fubini_special.txt moved in two last digits when the goldens were
+regenerated on numpy's x86 baseline (tests/conftest.py) instead of its
+AVX-512 code paths: discrepancy 4.18503010024551e-09 -> 4.18503021126782e-09,
+one ulp of the two values it subtracts, which print the same, and
+full_value 0.785398163397446 -> 0.785398163397447, whose error against
+pi/4 went from -1.92e-15 to -1.70e-15 (the built half-line Gaussian
+integral's from -1.21e-15 to -1.08e-15 relative of sqrt(pi)/2, by
+mpmath).
 Commands run in-process through ``cli.main``.
 """
 

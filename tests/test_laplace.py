@@ -1,7 +1,10 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
+from newton_calc import laplace
 from newton_calc.builder import BuildConfig, ray_integral
 from newton_calc.laplace import (BudgetViolation, GammaOverflow,
                                  LaplaceConfig, centered_integrand,
@@ -74,8 +77,9 @@ def test_laplace_config_validation():
 
 
 def test_concentrate_budgets_hold():
-    # the calibrated constants come from n = 25 and must keep holding as
-    # n grows; concentrate raises BudgetViolation if they do not
+    # concentrate raises BudgetViolation if a piece exceeds its proven
+    # bound; from n = 25 at epsilon = 0.3 every tail bound lies below
+    # T = exp(-n delta^2 / 2) (I3's, the largest, is 0.22 T at n = 25)
     for n in (25, 100, 400, 1600):
         budget = concentrate(LaplaceConfig(epsilon=0.3, n=n))
         pieces = budget.I1 + budget.I2 + budget.I3 + budget.I4
@@ -83,6 +87,38 @@ def test_concentrate_budgets_hold():
         assert abs(budget.measured_r) <= budget.rel_correction_bound
         for piece in (budget.I1, budget.I3, budget.I4):
             assert piece <= budget.tail_bound * (1.0 + 1e-9)
+
+
+def test_concentrate_holds_at_the_widest_admitted_delta():
+    # n = 2 at epsilon = 0.05: delta = 0.715 and n delta^3 = 0.731, under
+    # the cap; I3 = 0.612 exceeds T = 0.599, but not its proven bound
+    # T exp(n delta^3 / 3) (1 + delta) / (n delta) = 0.918
+    cfg = LaplaceConfig(epsilon=0.05, n=2)
+    budget = concentrate(cfg)
+    assert budget.I3 > budget.tail_bound
+    n, d = cfg.n, cfg.delta
+    assert budget.I3 <= budget.tail_bound * math.exp(
+        cfg.n_delta_cubed / 3.0) * (1.0 + d) / (n * d)
+    pieces = budget.I1 + budget.I2 + budget.I3 + budget.I4
+    assert pieces == pytest.approx(budget.full_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("index, name", [(0, "I1"), (2, "I3"), (3, "I4"),
+                                         (1, "|r|")])
+def test_concentrate_raises_on_a_piece_over_its_bound(monkeypatch, index,
+                                                      name):
+    # at n = 25 each tail bound lies under T (at most 0.22 T), and r's is
+    # expm1(0.526 / (3 (1 - 0.276))) = 0.27: a tail piece set to T, or the
+    # bulk I2 raised by half, breaks its bound alone
+    cfg = LaplaceConfig(epsilon=0.3, n=25)
+    pieces = list(laplace._concentrate_raw(cfg))
+    if name == "|r|":
+        pieces[index] *= 1.5
+    else:
+        pieces[index] = cfg.tail_scale
+    monkeypatch.setattr(laplace, "_concentrate_raw", lambda _cfg: pieces)
+    with pytest.raises(BudgetViolation, match=rf"^{re.escape(name)} = "):
+        concentrate(cfg)
 
 
 def test_concentrate_rejects_large_small_parameter():
@@ -136,6 +172,21 @@ def test_stirling_via_laplace_ten():
     rel_err = abs(math.exp(rec.approximation) - 3628800.0) / 3628800.0
     assert rel_err <= rec.predicted_bound * 1.01
     assert rec.abs_error <= rec.predicted_bound
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.3, 0.49])
+def test_laplace_record_is_within_its_proven_bound(epsilon):
+    # Binet: mu(n) < 1/(12n) <= n**(eps - 1/2) / 12, for every n <= 2000
+    # and on a log grid up to 1e6
+    ns = list(range(1, 2001)) + [int(n) for n in np.geomspace(2000, 1e6, 13)]
+    for n in ns:
+        assert stirling_via_laplace(n, epsilon).within_bound, n
+
+
+def test_laplace_bound_is_not_vacuous():
+    # mu(1) = 1 - log sqrt(2 pi) = 0.0811 against 1/12
+    rec = stirling_via_laplace(1, 0.3)
+    assert rec.abs_error >= 0.95 * rec.predicted_bound
 
 
 def test_stirling_via_laplace_error_scaling():

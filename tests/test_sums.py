@@ -181,6 +181,29 @@ def test_first_expression_records():
     assert log_factorial_first_expression(1).log_factorial_exact == 0.0
 
 
+@pytest.mark.parametrize("record", [
+    log_factorial_first_expression, lambda n: incomplete_stirling(n)[1]],
+    ids=["first_expression", "incomplete"])
+def test_records_are_within_their_proven_bounds(record):
+    # C = 1/24 and 1/8, for every n <= 2000 and on a log grid up to 1e6;
+    # from n = 1e5 the first expression's error exceeds 1/(24n) by one ulp
+    # of log n! (24n times it reads 1.0002 at 1e5 and 1.028 at 1e6), which
+    # within_bound allows
+    ns = list(range(1, 2001)) + [int(n) for n in np.geomspace(2000, 1e6, 13)]
+    for n in ns:
+        assert record(n).within_bound, n
+
+
+def test_proven_bounds_are_not_vacuous():
+    # at n = 10 the first expression's error is 0.95 of 1/(24n) and the
+    # incomplete formula's 0.67 of 1/(8n) (the strip tail, 1/(24n) at
+    # most, is subtracted from a bracket near 1/(8n))
+    first = log_factorial_first_expression(10)
+    assert first.abs_error >= 0.9 * first.predicted_bound
+    incomplete = incomplete_stirling(10)[1]
+    assert incomplete.abs_error >= 0.6 * incomplete.predicted_bound
+
+
 # ---------------------------------------------------------------------------
 # the incomplete factorial formula
 # ---------------------------------------------------------------------------

@@ -84,6 +84,12 @@ class BuildConfig:
     feature yet, which is also why refinement never stops before
     min_refinement).  Refinement is capped at level 22 (MAX_REFINEMENT),
     about 4M pieces.
+
+    The floor sets the reach: with h = (b - a) / 2**min_refinement, a
+    Gaussian bump at least h/4 wide is always resolved, while one h/8 or
+    h/16 wide can fall between the floor's nodes and be missed whole, a
+    value near 0 reported as converged (tests/test_builder.py pins this
+    for builds and inner integrals at floors 4, 6 and 8).
     """
 
     target_uniform_gap: float = 1e-8

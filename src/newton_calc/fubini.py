@@ -14,9 +14,11 @@ interpolant of the section on a dyadic mesh (the composite Simpson sum),
 refined until that value stalls under the builder's stall rule
 (``_stalled``).  The meshes come from the builder's one mesh kernel
 (``_dyadic_levels``): like every build, a batch of rows evaluates the
-mesh of the lowest level that can stall (the inner floor) in one
-``grid`` call, whose columns hold every coarser level, then each finer
-level's midpoints.  ``grid`` evaluates under the integrand guard,
+mesh of the lowest level that can stall in one ``grid`` call, whose
+columns hold every coarser level, then each finer level's midpoints.
+That floor is the config's ``min_refinement``, the same for the inner
+rows as for the outer build, so each problem family sets it (see
+``_special_cfg``).  ``grid`` evaluates under the integrand guard,
 ``core._guarded``, like ``RealFunction.many``.  Every outer node stalls on
 its own, so an inner value depends on its node alone.
 """
@@ -143,12 +145,6 @@ class IteratedIntegralReport:
 # rows per batch; a memory bound only, since every row stalls on its own
 _INNER_CHUNK = 1024
 
-# inner values must be accurate, or outer refinement sees a noise floor;
-# hence their own floor level, deeper than the outer builds' (6 here), and
-# the three-gap stall (narrow features hide from coarse dyadic meshes
-# longer than wide ones)
-_INNER_FLOOR = 8
-
 
 def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
                   cfg: BuildConfig) -> np.ndarray:
@@ -158,14 +154,15 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
     piecewise-quadratic interpolant at the right endpoint, which is
     (4 T_k - T_{k-1}) / 3 for the trapezoid sums T_k on the dyadic meshes;
     T_k comes from one running sum of node values per row.  No row can
-    stall below the floor, so a batch evaluates the floor mesh in one grid
-    call, like a build.  Every row stalls on its own gaps below the builder
+    stall below the floor, cfg.min_refinement, so a batch evaluates the
+    floor mesh in one grid call, like a build, and has a build's reach
+    (BuildConfig).  Every row stalls on its own gaps below the builder
     tolerance and drops out of the evaluation, so a value depends on its
     outer node alone, never on which nodes share its batch.
     """
     c, d = y_iv.a, y_iv.b
     length = d - c
-    target = cfg.target_uniform_gap * length
+    target, floor = cfg.target_uniform_gap * length, cfg.min_refinement
     out = np.empty(len(xs), dtype=float)
 
     for start in range(0, len(xs), _INNER_CHUNK):
@@ -173,9 +170,8 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         # the kernel evaluates lazily, so it sees the active rows of the
         # level it is asked for
         rows = xs[index]
-        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d,
-                                _INNER_FLOOR)
-        _floor, values = next(levels)
+        levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, floor)
+        _mesh, values = next(levels)
         ends = values[:, 0] + values[:, -1]
         sums = ends.copy()
         # two nodes carry no quadratic: level 0's value is T_0
@@ -184,7 +180,7 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         # s = 2**(floor - k), cut contiguous so it sums in the (pairwise)
         # order of a fresh block
         cuts = (np.ascontiguousarray(values[:, s::2 * s])
-                for s in reversed([1 << k for k in range(_INNER_FLOOR)]))
+                for s in reversed([1 << k for k in range(floor)]))
         finer = (new for _mesh, _mid, new in levels)
         gaps: List[np.ndarray] = []
         for level, new in enumerate(itertools.chain(cuts, finer), 1):
@@ -193,8 +189,7 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
             simpson = (4.0 * refined - trapezoid) / 3.0
             gaps.append(np.abs(simpson - value))
             trapezoid, value = refined, simpson
-            if (level >= _INNER_FLOOR
-                    and (done := _stalled(gaps, target, 3)).any()):
+            if level >= floor and (done := _stalled(gaps, target, 3)).any():
                 out[index[done]] = value[done]
                 keep = ~done
                 if not keep.any():
@@ -321,21 +316,27 @@ def _special_cfg(b: float) -> BuildConfig:
     # slack (the truncation gap itself decays like b**-1/2, so chasing
     # digits there buys nothing)
     gap = 5e-8 if b <= 2.0 else 1e-5
+    # the narrowest section, x exp(-x^2 (1 + b^2)) at z = b, is a bump
+    # about 1/b wide against x = 0; a floor spacing b / 2**m at most that
+    # wide needs 2**m >= b**2.  At floor 8 that row stalled on the floor
+    # and was missed, by 92 % at b = 24 (width/spacing 0.44) and whole at
+    # b = 32 (0.25), as at b = 16 on floor 6
+    floor = max(6, math.ceil(math.log2(b * b)))
     return BuildConfig(target_uniform_gap=gap, probe_grid=129,
-                       min_refinement=6)
+                       min_refinement=floor)
 
 
 @lru_cache(maxsize=64)
 def special_infinite_fubini(b: float) -> IteratedIntegralReport:
     """Truncated iterated integrals of the special function plus certificates.
 
-    A(b) and B(b) are the two orders over [0, b]^2; the full value is the
-    square of the half-line Gaussian integral.  The report holds when the
-    measured truncation gaps sit inside the certificate's tail bounds.
-    Results are cached; the computation is pure.
+    A(b) and B(b) are the two orders over [0, b]^2, 1 <= b <= 64; the full
+    value is the square of the half-line Gaussian integral.  The report
+    holds when the measured truncation gaps sit inside the certificate's
+    tail bounds.  Results are cached; the computation is pure.
     """
-    if not b >= 1.0:
-        raise ValueError("b must be at least 1")
+    if not 1.0 <= b <= 64.0:
+        raise ValueError(f"b must be in [1, 64], got {b!r}")
     cfg = _special_cfg(b)
     f = special_integrand()
     a_b = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", cfg)

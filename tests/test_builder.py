@@ -9,9 +9,9 @@ from newton_calc.builder import (MAX_REFINEMENT, BuildConfig, OutOfDomain,
                                  build_primitive, derivative_check,
                                  dumps, loads, ray_integral)
 from newton_calc.core import (PRECISE_LIMIT_CONFIG, EvaluationFailure,
-                              NonConvergent, RealFunction)
+                              Interval, NonConvergent, RealFunction)
 from newton_calc.engine import newton_integral, pair_from_primitive
-from newton_calc.fubini import (RECT_CFG, BivariateFunction,
+from newton_calc.fubini import (RECT_CFG, BivariateFunction, _inner_values,
                                 inner_integral_function, iterated_rectangle)
 from newton_calc.functions import BIVARIATE_REGISTRY
 
@@ -526,3 +526,39 @@ def test_an_outer_build_runs_its_inner_integrals_once_per_level(fid):
     assert len(calls) == P.refinement_level - RECT_CFG.min_refinement + 1
     assert P.evaluate(1.0) == iterated_rectangle(
         BIVARIATE_REGISTRY[fid], (0.0, 1.0), (0.0, 1.0), "xy", RECT_CFG)
+
+
+# Gaussian bumps exp(-((y - c) / w)**2) on [0, 1] at 20 seeded centres c,
+# and how many of the 20 each route misses at w = h/8 and w = h/16, where
+# h = 2**-m is the floor spacing: (inner rows, builds) per floor m
+BUMP_CENTRES = np.random.default_rng(5).uniform(0.1, 0.9, 20)
+BUMP_MISSES = {4: [(1, 1), (9, 9)], 6: [(3, 3), (14, 14)],
+               8: [(4, 5), (11, 11)]}
+
+
+@pytest.mark.parametrize("m", sorted(BUMP_MISSES))
+def test_the_floor_mesh_resolves_bumps_a_quarter_of_its_spacing_wide(m):
+    # a bump at least h/4 wide is always right; a narrower one may hide
+    # between the floor's nodes, and then it is missed whole (a value near
+    # 0 reported as converged), never half seen
+    cfg = BuildConfig(target_uniform_gap=3e-7, min_refinement=m)
+    misses = []
+    for w in (math.ldexp(1.0, -m - k) for k in range(5)):
+        exact = np.array([0.5 * w * math.sqrt(math.pi)
+                          * (math.erf((1.0 - c) / w) + math.erf(c / w))
+                          for c in BUMP_CENTRES])
+        rows = BivariateFunction(
+            lambda x, y: math.exp(-((y - x) / w) ** 2), "bump rows",
+            lambda xs, ys, w=w: np.exp(-((ys - xs) / w) ** 2))
+        inner = _inner_values(rows, BUMP_CENTRES, Interval(0.0, 1.0), cfg)
+        built = [build_primitive(RealFunction(
+            lambda y: math.exp(-((y - c) / w) ** 2), label="bump",
+            vector_fn=lambda ys, c=c, w=w: np.exp(-((ys - c) / w) ** 2)),
+            (0.0, 1.0), cfg).evaluate(1.0) for c in BUMP_CENTRES]
+        missed = []
+        for got in (inner, np.array(built)):
+            right = np.abs(got - exact) <= cfg.target_uniform_gap
+            assert np.all(right | (np.abs(got) < 0.01 * exact)), w
+            missed.append(int(np.sum(~right)))
+        misses.append(tuple(missed))
+    assert misses == [(0, 0)] * 3 + BUMP_MISSES[m]

@@ -251,6 +251,7 @@ def test_usage_error_exits_64(capsys):
     "gamma --n 169 --mode numeric",
     "stirling --n 0",
     "fubini --case special --b 0.5",
+    "fubini --case special --b 65",
     "fubini --case counterexample --X 0.5",
     "fubini --case rect --bounds 0 1 0 inf",
     "sumint --function-id log --a 5 --b 2",

@@ -110,8 +110,8 @@ def test_inner_value_depends_on_its_node_alone():
 def test_inner_value_of_a_cubic_is_exact_at_the_minimum_level():
     # the piecewise-quadratic interpolant's cubic antiderivative integrates
     # cubics exactly, so every gap past level 1 is rounding and each row
-    # stops at the minimum level 8, whose 2**8 + 1 nodes per row are
-    # evaluated in a single grid call
+    # stops at the floor, RECT_CFG's min_refinement 6, whose 2**6 + 1 nodes
+    # per row are evaluated in a single grid call
     grids = []
 
     def vector(xs, ys):
@@ -123,7 +123,7 @@ def test_inner_value_of_a_cubic_is_exact_at_the_minimum_level():
     got = _inner_values(f, xs, Interval(0.0, 2.0), RECT_CFG)
     exact = 4.0 * xs - 16.0 / 3.0 + 2.0 + 2.0
     assert np.max(np.abs(got - exact)) <= 1e-14
-    assert grids == [(len(xs), 2 ** 8 + 1)]
+    assert grids == [(len(xs), 2 ** 6 + 1)]
 
 
 def level_by_level_inner_values(f, xs, y_iv, cfg):
@@ -149,7 +149,7 @@ def level_by_level_inner_values(f, xs, y_iv, cfg):
             simpson = (4.0 * refined - trapezoid) / 3.0
             gaps.append(np.abs(simpson - value))
             trapezoid, value = refined, simpson
-            if level < 8:
+            if level < cfg.min_refinement:
                 continue
             done = _stalled(gaps, target, 3)
             if done.any():
@@ -184,9 +184,9 @@ def test_floor_mesh_in_one_call_is_bit_identical_to_level_by_level():
         got = _inner_values(f, xs, y_iv, cfg)
         assert got.tobytes() == \
             level_by_level_inner_values(f, xs, y_iv, cfg).tobytes(), f.label
-    # the two sin-product runs evaluate more than the floor's 2**8 + 1
-    # nodes per row: some rows refine past it
-    assert calls[0] > 2 * len(rows) * (2 ** 8 + 1)
+    # the two sin-product runs evaluate more than RECT_CFG's floor of
+    # 2**6 + 1 nodes per row: some rows refine past it
+    assert calls[0] > 2 * len(rows) * (2 ** 6 + 1)
 
 
 def test_non_finite_inner_node_is_named():
@@ -232,7 +232,7 @@ def test_decay_rectangle_evaluation_count():
     f, calls = counting(BIVARIATE_REGISTRY["product-exp"])
     value = iterated_rectangle(f, (0.0, 20.0), (0.0, 20.0), "xy", _DECAY_CFG)
     assert abs(value - (1.0 - math.exp(-20.0)) ** 2) <= 5e-7
-    assert calls[0] <= 1.9e7
+    assert calls[0] <= 3.6e5
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +267,31 @@ def test_special_truncation_gap_follows_sqrt_law():
     assert 0.15 <= g16 / g4 <= 0.75
 
 
-@pytest.mark.parametrize("b", [4.0, 8.0, 16.0])
+@pytest.mark.parametrize("b", [4.0, 8.0, 16.0, 24.0, 32.0])
 def test_special_orders_match_the_truncated_reference(b):
-    # the steep e^(-b^2 z^2) inner profile needs the inner floor of 8
-    # levels: at 6, b = 16 is off by 2.5 %
+    # the x-section at z = b is a bump about 1/b wide, so the floor spacing
+    # b / 2**m must be at most that wide: 2**m >= b**2.  Below it (b = 16
+    # on floor 6, b = 24 and 32 on floor 8) the yx order is 0.3-2.5 % off
     ref = special_truncated_midpoint(b)
     rep = special_infinite_fubini(b)
     for value in (rep.value_xy, rep.value_yx):
         assert abs(value - ref) <= 1e-4 * ref
+
+
+@pytest.mark.parametrize("b", [0.5, 64.5, 65.0, math.inf, math.nan])
+def test_special_truncation_outside_1_to_64_is_rejected(b):
+    # past 64 the floor 2**m >= b**2 would pass 12 levels
+    with pytest.raises(ValueError, match=r"b must be in \[1, 64\]"):
+        special_infinite_fubini(b)
+
+
+def test_special_floor_is_the_least_whose_spacing_is_at_most_1_over_b():
+    for b in (1.0, 2.0, 4.0, 8.0, 10.0, 16.0, 24.0, 32.0, 64.0):
+        m = _special_cfg(b).min_refinement
+        assert b / 2 ** m <= 1.0 / b
+        assert m == 6 or b / 2 ** (m - 1) > 1.0 / b
+    assert [_special_cfg(b).min_refinement for b in (8.0, 10.0, 16.0, 64.0)] \
+        == [6, 7, 8, 12]
 
 
 @pytest.mark.parametrize("b", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])

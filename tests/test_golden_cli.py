@@ -72,6 +72,14 @@ full_value 0.785398163397446 -> 0.785398163397447, whose error against
 pi/4 went from -1.92e-15 to -1.70e-15 (the built half-line Gaussian
 integral's from -1.21e-15 to -1.08e-15 relative of sqrt(pi)/2, by
 mpmath).
+fubini_decay.txt and fubini_special.txt moved when inner integrals began
+to stall from their config's min_refinement (6 for the decay config, 7 for
+the special case at b = 10) instead of a fixed floor of 8.  Against mpmath
+quadrature of the closed-form inner integrals, the decay values moved away
+by 7.1e-12 to 9.9e-11 relative (at b = 4 from -3.9e-12 to -1.03e-10),
+within the config's 1e-7 gap target; the special case's xy value moved
+3.0e-11 closer (error +1.424813e-7 -> +1.424512e-7), and with it the
+discrepancy, 4.18503021126782e-09 -> 4.20717627402922e-09.
 Commands run in-process through ``cli.main``.
 """
 

@@ -90,6 +90,11 @@ class BuildConfig:
     h/16 wide can fall between the floor's nodes and be missed whole, a
     value near 0 reported as converged (tests/test_builder.py pins this
     for builds and inner integrals at floors 4, 6 and 8).
+
+    The 2-D and Laplace-piece configs probe 129 points (257 cost the
+    benchmark's iterated workload 19 % more evaluations); 129 everywhere
+    stopped 18 of the 156 corpus builds a level sooner, 16 of them with
+    16 times the error, and moved W_3 from 1.8e-14 to 2.8e-13 relative.
     """
 
     target_uniform_gap: float = 1e-8

@@ -20,8 +20,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import builder
 from .builder import build_primitive
 from .core import NewtonCalcError
@@ -297,10 +295,8 @@ def _cmd_fubini(args, out) -> int:
                      "holds": rep.holds})
     elif args.case == "decay":
         f = get_bivariate(args.function_id)
-        rng = np.random.default_rng(args.seed) if args.seed is not None else None
-        rep, history = decay_bounded_fubini(f, args.decay_constant,
-                                            args.schedule, rng=rng)
-        ok = rep.holds
+        _rep, history = decay_bounded_fubini(f, args.decay_constant,
+                                             args.schedule)
         for b, vxy, vyx in history:
             rows.append({"case": "decay", "param": _fmt(b), "value_xy": vxy,
                          "value_yx": vyx, "discrepancy": abs(vxy - vyx),
@@ -384,7 +380,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--decay-constant", type=float, default=1.0)
     p.add_argument("--schedule", type=float, nargs="+",
                    default=(4.0, 8.0, 16.0, 32.0))
-    p.add_argument("--seed", type=int, default=None)
     add_format(p)
 
     return parser

@@ -410,14 +410,14 @@ def one_sided_limit(F: Union[RealFunction, Callable[[float], float]],
 # sampling helper shared by precondition checks
 # ---------------------------------------------------------------------------
 
-def chebyshev_samples(interval: Interval, count: int = 257) -> np.ndarray:
-    """Chebyshev-distributed sample points in the open interval.
+def chebyshev_samples(interval: Interval) -> np.ndarray:
+    """257 Chebyshev-distributed sample points in the open interval.
 
     Infinite endpoints are handled by rational maps of the nodes, so the
     samples still cluster near finite endpoints and spread along rays.
     """
     iv = as_interval(interval)
-    t = np.cos(np.pi * (2.0 * np.arange(count) + 1.0) / (2.0 * count))
+    t = np.cos(np.pi * (2.0 * np.arange(257) + 1.0) / (2.0 * 257))
     if iv.is_finite:
         mid = 0.5 * (iv.a + iv.b)
         half = 0.5 * (iv.b - iv.a)

@@ -110,18 +110,12 @@ def bivariate(f: Union[BivariateFunction, Callable[[float, float], float]]
 class TailBound:
     """Truncation certificate for the special infinite case at a given b.
 
-    c_gauss is the built half-line Gaussian integral, c0 =
-    max_{x>=1} x**3 exp(-x**2), and c2 = 1/2, the smallest power of two
-    above the inner-integral profile z**(4/3) / (2 (1 + z**2)), whose
-    maximum is 2**(2/3) / 6 at z = sqrt(2) (see tail_constants).  bound_A
-    and bound_B are the two truncation tail estimates instantiated at
-    this b.
+    c_gauss is the built half-line Gaussian integral; bound_A and bound_B
+    are the two truncation tail estimates instantiated at this b, from
+    the constants tail_constants returns.
     """
 
-    b: float
     c_gauss: float
-    c0: float
-    c2: float
     bound_A: float
     bound_B: float
 
@@ -131,10 +125,8 @@ class IteratedIntegralReport:
     value_xy: float
     value_yx: float
     discrepancy: float
-    truncation: float
     holds: bool
     tail_certificate: Optional[TailBound] = None
-    analytic_tail: Optional[float] = None
     full_value: Optional[float] = None
 
 
@@ -255,7 +247,6 @@ def special_integrand() -> BivariateFunction:
         vector_fn=lambda xs, zs: xs * np.exp(-xs * xs * (1.0 + zs * zs)))
 
 
-@lru_cache(maxsize=None)
 def gaussian_half_line_built() -> float:
     """Half-line integral of exp(-x^2) via a built antiderivative.
 
@@ -272,12 +263,13 @@ def gaussian_half_line_built() -> float:
 def tail_constants() -> Tuple[float, float, float]:
     """(c_gauss, c0, c2); c_gauss is built at first use.
 
-    c0 is x**3 exp(-x**2) at its maximiser x = sqrt(3/2).  c2 bounds
-    z**(4/3) times the inner integral, which is 1 / (2 (1 + z**2)) by the
-    closed-form antiderivative -exp(-x^2 (1+z^2)) / (2 (1+z^2)); that
-    profile's derivative vanishes where 4 (1 + z**2) = 6 z**2, at
-    z = sqrt(2), so its maximum is 2**(2/3) / 6 = 0.2646, and c2 is the
-    smallest power of two above it, 1/2.
+    c0 is x**3 exp(-x**2) at its maximiser x = sqrt(3/2), its maximum
+    over x >= 1.  c2 bounds z**(4/3) times the inner integral, which is
+    1 / (2 (1 + z**2)) by the closed-form antiderivative
+    -exp(-x^2 (1+z^2)) / (2 (1+z^2)); that profile's derivative vanishes
+    where 4 (1 + z**2) = 6 z**2, at z = sqrt(2), so its maximum is
+    2**(2/3) / 6 = 0.2646, and c2 is the smallest power of two above it,
+    1/2.
     """
     return gaussian_half_line_built(), 1.5 ** 1.5 * math.exp(-1.5), 0.5
 
@@ -326,14 +318,13 @@ def _special_cfg(b: float) -> BuildConfig:
                        min_refinement=floor)
 
 
-@lru_cache(maxsize=64)
 def special_infinite_fubini(b: float) -> IteratedIntegralReport:
     """Truncated iterated integrals of the special function plus certificates.
 
     A(b) and B(b) are the two orders over [0, b]^2, 1 <= b <= 64; the full
     value is the square of the half-line Gaussian integral.  The report
     holds when the measured truncation gaps sit inside the certificate's
-    tail bounds.  Results are cached; the computation is pure.
+    tail bounds.
     """
     if not 1.0 <= b <= 64.0:
         raise ValueError(f"b must be in [1, 64], got {b!r}")
@@ -341,15 +332,14 @@ def special_infinite_fubini(b: float) -> IteratedIntegralReport:
     f = special_integrand()
     a_b = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", cfg)
     b_b = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", cfg)
-    c, c0, c2 = tail_constants()
+    c, _c0, _c2 = tail_constants()
     full = c * c
-    cert = TailBound(b=b, c_gauss=c, c0=c0, c2=c2,
-                     bound_A=bound_A_at(b), bound_B=bound_B_at(b))
+    cert = TailBound(c_gauss=c, bound_A=bound_A_at(b), bound_B=bound_B_at(b))
     holds = (abs(full - a_b) <= cert.bound_A
              and abs(full - b_b) <= cert.bound_A + cert.bound_B)
     return IteratedIntegralReport(
         value_xy=a_b, value_yx=b_b, discrepancy=abs(a_b - b_b),
-        truncation=b, tail_certificate=cert, full_value=full, holds=holds)
+        tail_certificate=cert, full_value=full, holds=holds)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,6 @@ def decay_bounded_fubini(f, c: float,
     tail = 2.0 * c / b_last
     report = IteratedIntegralReport(
         value_xy=vxy, value_yx=vyx, discrepancy=abs(vxy - vyx),
-        truncation=b_last, analytic_tail=tail,
         holds=abs(vxy - vyx) <= max(1e-6, 2.0 * tail))
     return report, history
 
@@ -515,31 +504,25 @@ def _counterexample_inner_xy() -> RealFunction:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    truncation: float
     order_xy_value: float
     order_yx_partial: float
 
 
-_CE_CFG = BuildConfig(target_uniform_gap=1e-8)
-
-
-@lru_cache(maxsize=64)
 def asymmetry_counterexample(X: float) -> CounterexampleReport:
     """Evaluate both orders of the witness family truncated at X.
 
     The y-inner/x-outer value stabilizes as X grows (the inner values are
     dominated by 2 e^-x); the x-inner integral along the section y = 1
-    equals X and therefore diverges with the truncation.  Results are
-    cached; the computation is pure.
+    equals X and therefore diverges with the truncation.
     """
     if not X >= 1.0:
         raise ValueError("X must be at least 1")
     inner = _counterexample_inner_xy()
-    P = build_primitive(inner, (0.0, X), _CE_CFG)
+    P = build_primitive(inner, (0.0, X))
     xy_value = float(P.evaluate(X))
 
     line = counterexample_family().transposed().section_at_x(1.0)
-    P_line = build_primitive(line, (0.0, X), _CE_CFG)
+    P_line = build_primitive(line, (0.0, X))
     yx_partial = float(P_line.evaluate(X))
-    return CounterexampleReport(truncation=X, order_xy_value=xy_value,
+    return CounterexampleReport(order_xy_value=xy_value,
                                 order_yx_partial=yx_partial)

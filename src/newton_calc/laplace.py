@@ -292,13 +292,15 @@ def reduce_to_gauss(cfg: LaplaceConfig) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gauss_quarter() -> float:
-    """The squared half-line Gaussian integral, i.e. pi/4, by the chain.
+def gauss_integral() -> float:
+    """The full-line integral of exp(-t^2), which equals sqrt(pi).
 
-    The iterated-integral step swaps the orders for
-    x exp(-x^2 (1 + z^2)); the inner integral has the closed-form
-    antiderivative -exp(-x^2 (1+z^2)) / (2 (1+z^2)); the outer is then
-    half of 1/(1+v^2), whose antiderivative is the arctangent.
+    The half-line value squared is pi/4 by the chain: swapping the orders
+    for x exp(-x^2 (1 + z^2)), the inner integral has the antiderivative
+    -exp(-x^2 (1+z^2)) / (2 (1+z^2)), and the outer integrand, half of
+    1/(1+v^2), has half the arctangent.  The flip t -> -t doubles the
+    half line.  fubini.special_infinite_fubini checks the order swap
+    numerically at finite truncations.
     """
 
     def inner_value(v: float) -> float:
@@ -309,18 +311,7 @@ def _gauss_quarter() -> float:
         RealFunction(lambda v: 0.5 * math.atan(v),
                      vector_fn=lambda vs: 0.5 * np.arctan(vs)),
         Interval(0.0, math.inf))
-    return newton_integral(outer).value
-
-
-@lru_cache(maxsize=None)
-def gauss_integral() -> float:
-    """The full-line integral of exp(-t^2), which equals sqrt(pi).
-
-    The full-line value is twice the half-line value by the flipping
-    substitution t -> -t.  fubini.special_infinite_fubini checks the order
-    swap numerically at finite truncations.
-    """
-    return 2.0 * math.sqrt(_gauss_quarter())
+    return 2.0 * math.sqrt(newton_integral(outer).value)
 
 
 # ---------------------------------------------------------------------------

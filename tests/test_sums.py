@@ -104,6 +104,8 @@ def test_tail_constant_reciprocal_squares():
     assert abs(rep.c_estimate - math.pi ** 2 / 6.0) <= 1.0 / 200000 + 1e-9
     assert rep.holds
     assert rep.remainder_bound == pytest.approx(0.01)
+    # the measured side of holds, bit for bit
+    assert rep.partial_sum == math.fsum(1.0 / (m * m) for m in range(1, 101))
 
 
 def test_tail_constant_zero_terms():

@@ -1,22 +1,28 @@
-"""Static scan: no settable value without a caller, no unused import, no
-environment read, no private name imported across modules unless listed.
+"""Static scan: no settable value without a caller, no unread field, no
+cache that no call repeats, no unused import, no environment read, no
+private name imported across modules unless listed.
 
 Every defaulted parameter in src/ must be set by name or by position in
 at least one call somewhere in src/, tests/ or perfbench/, and every
 defaulted dataclass field by a call in src/ or perfbench/: a value that
 nothing sets is a constant and belongs in the body, and so is a
-configuration field that only tests vary.  Every name a module in src/
-imports must be used in it (or re-exported through its __all__).
-Matching is by the callee's last name (``f(...)``, ``obj.f(...)``,
-``Class(...)`` for ``__init__`` and dataclass fields), which can only
-over-count callers, never miss one.  Parameters whose names start with
-``_`` are the closure-binding idiom (``def g(y, _x=x)``) and are not
-meant to be set.  A setting belongs on the command line or in a
-parameter, so nothing in src/ reads the environment, except the
-command-line entry asking for one BLAS thread.
+configuration field that only tests vary.  A call that passes the
+default's own literal does not set it.  Every dataclass field must be
+read, by an attribute load or a ``getattr`` string, somewhere in src/,
+tests/ or perfbench/: a field nothing reads only repeats an input.
+Every name a module in src/ imports must be used in it (or re-exported
+through its __all__).  Matching is by the callee's or attribute's last
+name (``f(...)``, ``obj.f(...)``, ``Class(...)`` for ``__init__`` and
+dataclass fields), which can only over-count callers and reads, never
+miss one.  Parameters whose names start with ``_`` are the
+closure-binding idiom (``def g(y, _x=x)``) and are not meant to be set.
+A setting belongs on the command line or in a parameter, so nothing in
+src/ reads the environment, except the command-line entry asking for one
+BLAS thread.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
@@ -26,6 +32,8 @@ PRODUCTION = SRC + sorted((ROOT / "perfbench").rglob("*.py"))
 CALLERS = PRODUCTION + sorted((ROOT / "tests").glob("*.py"))
 
 
+# every test walks the same files; no test changes a tree
+@lru_cache(maxsize=None)
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -39,12 +47,18 @@ def _callee(node: ast.Call) -> str:
     return ""
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for d in cls.decorator_list:
+def _decorated(node: ast.AST, names: Tuple[str, ...]) -> bool:
+    """node carries a decorator, called or bare, whose last name is in
+    names."""
+    for d in node.decorator_list:
         target = d.func if isinstance(d, ast.Call) else d
-        if _callee(ast.Call(func=target, args=[], keywords=[])) == "dataclass":
+        if _callee(ast.Call(func=target, args=[], keywords=[])) in names:
             return True
     return False
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return _decorated(cls, ("dataclass",))
 
 
 def _init_false(value: ast.expr) -> bool:
@@ -53,21 +67,38 @@ def _init_false(value: ast.expr) -> bool:
                     and k.value.value is False for k in value.keywords))
 
 
-def _settable() -> List[Tuple[str, str, str, int, bool]]:
-    """(module, callee, name, positional index or -1, is a dataclass field)
-    of every default."""
+def _fields(cls: ast.ClassDef) -> List[ast.AnnAssign]:
+    return [s for s in cls.body if isinstance(s, ast.AnnAssign)
+            and isinstance(s.target, ast.Name)]
+
+
+_NO_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    """The value of a literal expression with its type, else _NO_LITERAL."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return _NO_LITERAL
+    return type(value), value
+
+
+def _settable() -> List[Tuple[str, str, str, int, bool, object]]:
+    """(module, callee, name, positional index or -1, is a dataclass field,
+    the default's literal or _NO_LITERAL) of every default."""
     found = []
     for path in SRC:
         tree = _parse(path)
         for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
             if not _is_dataclass(cls):
                 continue
-            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
-                      and isinstance(s.target, ast.Name)
-                      and not (s.value is not None and _init_false(s.value))]
+            fields = [s for s in _fields(cls)
+                      if not (s.value is not None and _init_false(s.value))]
             for i, s in enumerate(fields):
                 if s.value is not None and not s.target.id.startswith("_"):
-                    found.append((path.name, cls.name, s.target.id, i, True))
+                    found.append((path.name, cls.name, s.target.id, i, True,
+                                  _literal(s.value)))
         parents: Dict[ast.AST, ast.AST] = {
             child: node for node in ast.walk(tree)
             for child in ast.iter_child_nodes(node)}
@@ -84,39 +115,100 @@ def _settable() -> List[Tuple[str, str, str, int, bool]]:
             first_default = len(positional) - len(fn.args.defaults)
             for i, arg in enumerate(positional):
                 if i >= first_default and not arg.arg.startswith("_"):
+                    default = fn.args.defaults[i - first_default]
                     found.append((path.name, name, arg.arg, i - offset,
-                                  False))
+                                  False, _literal(default)))
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None and not arg.arg.startswith("_"):
-                    found.append((path.name, name, arg.arg, -1, False))
+                    found.append((path.name, name, arg.arg, -1, False,
+                                  _literal(default)))
     return found
 
 
-def _calls(paths: List[Path]) -> Dict[str, List[Tuple[int, Set[str], bool]]]:
-    """callee -> [(positional count, keyword names, has * or **)]."""
-    calls: Dict[str, List[Tuple[int, Set[str], bool]]] = {}
+Site = Tuple[List[ast.expr], Dict[str, ast.expr], bool]
+
+
+def _calls(paths: List[Path]) -> Dict[str, List[Site]]:
+    """callee -> [(positional values, keyword values, has * or **)]."""
+    calls: Dict[str, List[Site]] = {}
     for path in paths:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Call):
                 starred = any(isinstance(a, ast.Starred) for a in node.args) \
                     or any(k.arg is None for k in node.keywords)
                 calls.setdefault(_callee(node), []).append(
-                    (len(node.args), {k.arg for k in node.keywords}, starred))
+                    (node.args, {k.arg: k.value for k in node.keywords
+                                 if k.arg is not None}, starred))
     return calls
 
 
 def test_every_default_is_set_by_some_call():
     anywhere, in_production = _calls(CALLERS), _calls(PRODUCTION)
     unset = []
-    for module, callee, name, index, is_field in _settable():
+    for module, callee, name, index, is_field, default in _settable():
         calls = in_production if is_field else anywhere
         sites = calls.get(callee, []) + [
-            (0, kw, False) for _, kw, _ in calls.get("replace", [])]
-        if not any(starred or name in keywords
-                   or (index >= 0 and n_pos > index)
-                   for n_pos, keywords, starred in sites):
+            ([], kw, False) for _, kw, _ in calls.get("replace", [])]
+
+        def sets(value: ast.expr) -> bool:
+            return default is _NO_LITERAL or _literal(value) != default
+
+        if not any(starred or (name in keywords and sets(keywords[name]))
+                   or (0 <= index < len(args) and sets(args[index]))
+                   for args, keywords, starred in sites):
             unset.append(f"{module}: {callee}({name}=...)")
     assert unset == []
+
+
+def test_every_dataclass_field_is_read():
+    read = set()
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and _callee(node) == "getattr"
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = [f"{path.name}: {cls.name}.{s.target.id}" for path in SRC
+              for cls in ast.walk(_parse(path))
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for s in _fields(cls) if s.target.id not in read]
+    assert unread == []
+
+
+# the caches whose function takes a required argument, each with the
+# calls that ask it for the same argument again; every other cache holds
+# an argument-free constant
+_REPEATED_CACHES = {
+    # stirling --method both asks both routes for log n!, and a Wallis
+    # table asks for log m! at n = m, 2m and 2m + 1; without the
+    # cache, tier-1 took 14.7-17.8 s against 10.8-12.1 s (3 alternating
+    # runs on 2 x86_64 cores)
+    "log_factorial": ("incomplete_stirling", "stirling_via_laplace",
+                      "log_wallis_closed_form"),
+}
+
+
+def test_caches_with_arguments_are_only_those_calls_repeat():
+    with_arguments = set()
+    for path in SRC:
+        for fn in ast.walk(_parse(path)):
+            if not (isinstance(fn, ast.FunctionDef)
+                    and _decorated(fn, ("lru_cache", "cache"))):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            if len(positional) > len(a.defaults) or None in a.kw_defaults:
+                with_arguments.add(fn.name)
+    assert with_arguments == set(_REPEATED_CACHES)
+    callers = {fn.name: {_callee(n) for n in ast.walk(fn)
+                         if isinstance(n, ast.Call)}
+               for path in SRC for fn in ast.walk(_parse(path))
+               if isinstance(fn, ast.FunctionDef)}
+    for name, repeats in _REPEATED_CACHES.items():
+        assert all(name in callers[c] for c in repeats), name
 
 
 def _imported_names(tree: ast.Module) -> List[str]:

@@ -239,12 +239,32 @@ def iterated_rectangle(f, x_interval, y_interval, order: str = "xy",
 # the special infinite case
 # ---------------------------------------------------------------------------
 
+# exp rounds to +0.0 below log(2**-1075) = -745.133
+_EXP_ZERO_BELOW = -745.2
+
+
+def _special_vector(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    e = np.asarray(-xs * xs * (1.0 + zs * zs))
+    # NaN compares false, so a NaN lane is still evaluated and stays NaN
+    zero = e < _EXP_ZERO_BELOW
+    np.exp(e, out=e, where=~zero)
+    np.copyto(e, 0.0, where=zero)
+    return np.multiply(xs, e, out=e)
+
+
 def special_integrand() -> BivariateFunction:
-    """f(x, z) = x exp(-x^2 (1 + z^2)) = x exp(-x^2) exp(-x^2 z^2)."""
+    """f(x, z) = x exp(-x^2 (1 + z^2)) = x exp(-x^2) exp(-x^2 z^2).
+
+    The vector twin sets the lanes whose exp argument is below -745.2 to
+    +0.0, the value exp rounds them to, and evaluates exp on the rest
+    only, bit for bit as xs * np.exp(-xs * xs * (1 + zs * zs)): numpy's
+    exp leaves its vector path below about -708, where most of the special
+    case's lanes lie (69 % at b = 16).  Few lanes of the other twins
+    underflow, so they keep the plain form.
+    """
     return BivariateFunction(
         lambda x, z: x * math.exp(-x * x * (1.0 + z * z)),
-        label="x exp(-x^2 (1+z^2))",
-        vector_fn=lambda xs, zs: xs * np.exp(-xs * xs * (1.0 + zs * zs)))
+        label="x exp(-x^2 (1+z^2))", vector_fn=_special_vector)
 
 
 def gaussian_half_line_built() -> float:
@@ -374,8 +394,9 @@ def decay_bounded_fubini(f, c: float,
 
     Truncates the quadrant at each schedule point; the exterior of [0,b]^2
     carries at most c * 2/b in absolute value (integrate the envelope over
-    {max(x,y) > b}).  Returns the final report plus the (b, xy, yx) history.
-    ValueError unless c > 0.
+    {max(x,y) > b}).  Returns the final report plus the (b, xy, yx) history;
+    the report holds when the two orders agree within 1e-6 at every
+    schedule point.  ValueError unless c > 0.
     """
     f = bivariate(f)
     if not c > 0.0:
@@ -389,11 +410,10 @@ def decay_bounded_fubini(f, c: float,
         vxy = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", _DECAY_CFG)
         vyx = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", _DECAY_CFG)
         history.append((b, vxy, vyx))
-    b_last, vxy, vyx = history[-1]
-    tail = 2.0 * c / b_last
+    _b, vxy, vyx = history[-1]
     report = IteratedIntegralReport(
         value_xy=vxy, value_yx=vyx, discrepancy=abs(vxy - vyx),
-        holds=abs(vxy - vyx) <= max(1e-6, 2.0 * tail))
+        holds=all(abs(x - y) <= 1e-6 for _b, x, y in history))
     return report, history
 
 

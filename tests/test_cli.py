@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from newton_calc import builder
+from newton_calc import builder, cli
 from newton_calc.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -309,6 +310,21 @@ def test_fubini_counterexample_past_exp_underflow():
     assert code == EXIT_OK
     value_xy = float(text.strip().splitlines()[1].split(",")[2])
     assert 1.0 - math.exp(-X) <= value_xy <= 2.0 * (1.0 - math.exp(-X))
+
+
+def test_fubini_decay_exits_on_the_reports_verdict(monkeypatch):
+    real = cli.decay_bounded_fubini
+
+    def refuted(*args, **kwargs):
+        rep, history = real(*args, **kwargs)
+        return dataclasses.replace(rep, holds=False), history
+
+    monkeypatch.setattr(cli, "decay_bounded_fubini", refuted)
+    code, text = run_cli("fubini", "--case", "decay", "--function-id",
+                         "inverse-quartic", "--schedule", "4", "8")
+    # every row agrees; the exit code is the report's
+    assert all(line.endswith("true") for line in text.splitlines()[1:])
+    assert code == EXIT_CHECK_FAILED
 
 
 def test_fubini_rect():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from newton_calc import fubini
 from newton_calc.builder import (BuildConfig, RefinementExhausted,
                                  _dyadic_levels, _stalled, build_primitive)
 from newton_calc.core import DecayViolation, EvaluationFailure, Interval
@@ -67,6 +68,42 @@ def test_rectangle_order_independence_battery():
         vxy = iterated_rectangle(f, (x0, x1), (y0, y1), "xy")
         vyx = iterated_rectangle(f, (x0, x1), (y0, y1), "yx")
         assert abs(vxy - vyx) <= 1e-6, fid
+
+
+def ridge_on_unit_square(c: float, w: float) -> float:
+    """Integral of exp(-((x - y - c) / w)**2) over [0, 1]^2, written as
+    the integral of (1 - |t|) exp(-((t - c) / w)**2) over t in [-1, 1]."""
+    def plain(a, b):
+        return 0.5 * w * math.sqrt(math.pi) * (
+            math.erf((b - c) / w) - math.erf((a - c) / w))
+
+    def moment(a, b):
+        return c * plain(a, b) + 0.5 * w * w * (
+            math.exp(-((a - c) / w) ** 2) - math.exp(-((b - c) / w) ** 2))
+
+    return plain(-1.0, 1.0) - moment(0.0, 1.0) + moment(-1.0, 0.0)
+
+
+# diagonal ridges exp(-((x - y - c) / w)**2) on [0, 1]^2 at seeded c, with
+# w = h and h/4 for the floor spacing h = 2**-m; the yx order of c is the
+# xy order of -c.  Nothing of these widths is missed.  At w = h/8 the
+# inner rows miss the ridge at some x and not at others, so the outer
+# build refines a comb: on floor 4 one rectangle took 27-35 s of CPU and
+# 1.8e9-2.3e9 evaluations and still came back 10 % low as converged
+RIDGE_CENTRES = np.random.default_rng(5).uniform(-0.8, 0.8, 4)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_iterated_rectangle_resolves_ridges_a_quarter_of_its_floor_wide(m):
+    cfg = BuildConfig(target_uniform_gap=3e-7, min_refinement=m)
+    for w in (math.ldexp(1.0, -m), math.ldexp(1.0, -m - 2)):
+        for c in RIDGE_CENTRES:
+            f = BivariateFunction(
+                lambda x, y: math.exp(-((x - y - c) / w) ** 2), "ridge",
+                lambda xs, ys, c=c, w=w: np.exp(-((xs - ys - c) / w) ** 2))
+            got = iterated_rectangle(f, (0.0, 1.0), (0.0, 1.0), "xy", cfg)
+            exact = ridge_on_unit_square(c, w)
+            assert abs(got - exact) <= 1e-7 * exact, (w, c)
 
 
 def test_inner_values_match_direct_sections():
@@ -246,6 +283,44 @@ def test_special_integrand_factorization():
             x * math.exp(-x * x) * math.exp(-x * x * z * z), rel=1e-14)
 
 
+def test_special_twin_skips_underflowing_exp_bit_for_bit():
+    # the twin evaluates exp only where its argument is at least -745.2;
+    # its values must still be the plain expression's, bit for bit
+    def plain(xs, zs):
+        return xs * np.exp(-xs * xs * (1.0 + zs * zs))
+
+    twin = special_integrand().vector_fn
+    axis = np.linspace(0.0, 64.0, 1025)
+    # x**2 swept through the subnormal band and the cut at z = 0
+    band = np.sqrt(np.linspace(700.0, 760.0, 6001))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 27.3])
+    cases = [(axis[:, None], axis[None, :]), (axis[None, :], axis[:, None]),
+             (band, np.zeros_like(band)), (np.zeros_like(band), band),
+             (special[:, None], special[None, :]),
+             (np.float64(27.3), np.float64(0.0)),
+             (np.array(1.5), np.array(2.0))]
+    args = np.concatenate([np.ravel(-xs * xs * (1.0 + zs * zs))
+                           for xs, zs in cases[:3]])
+    # exact zeros, the subnormal band and normal values all occur
+    assert np.sum(args < -745.14) > 1000
+    assert np.sum((args > -745.13) & (args < -708.0)) > 1000
+    assert np.sum(args > -708.0) > 1000
+    for xs, zs in cases:
+        before = [np.array(xs, copy=True), np.array(zs, copy=True)]
+        with np.errstate(all="ignore"):
+            want = np.asarray(plain(xs, zs))
+            got = np.asarray(twin(xs, zs))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(xs).tobytes() == before[0].tobytes()
+        assert np.asarray(zs).tobytes() == before[1].tobytes()
+    # 0 * inf is a NaN node, which the guard still names
+    with pytest.raises(EvaluationFailure) as info:
+        special_integrand().grid(np.array([1.0, 0.0]), np.array([2.0, np.inf]))
+    assert str(info.value) == \
+        "x exp(-x^2 (1+z^2)) returned nan at (x, y)=(0.0, inf)"
+
+
 def test_special_orders_agree_at_unit_truncation():
     rep = special_infinite_fubini(1.0)
     assert rep.discrepancy <= 1e-8
@@ -363,6 +438,21 @@ def test_decay_separable_exponential():
     assert abs(rep.value_xy - oracle) <= 5e-7
     assert abs(rep.value_yx - oracle) <= 5e-7
     assert rep.discrepancy <= 1e-8
+
+
+def test_decay_report_holds_only_if_every_row_agrees(monkeypatch):
+    # the orders disagree by 2e-6 at b = 4 alone: the last row agrees, and
+    # the report still does not hold
+    def rectangle(f, x_iv, y_iv, order, cfg):
+        return 2e-6 if (order, x_iv) == ("yx", (0.0, 4.0)) else 0.0
+
+    monkeypatch.setattr(fubini, "iterated_rectangle", rectangle)
+    zero = BivariateFunction(
+        lambda x, y: 0.0, "zero",
+        lambda xs, ys: np.zeros(np.broadcast(xs, ys).shape))
+    rep, history = decay_bounded_fubini(zero, 1.0, [8.0, 4.0])
+    assert history == [(4.0, 0.0, 2e-6), (8.0, 0.0, 0.0)]
+    assert rep.discrepancy == 0.0 and not rep.holds
 
 
 def test_decay_violation_detected():

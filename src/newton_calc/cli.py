@@ -6,6 +6,12 @@ produce byte-identical output.  Exit codes: 0 all checks passed, 2 a
 numerical check failed, 64 usage error (including unknown registry ids,
 arguments out of a function's range, an interval outside the domain of a
 registry antiderivative, and an unusable --cache-dir).
+
+Start-up, not computation, dominates most commands, so each handler
+imports the library functions it calls when it runs: a command loads
+``core``, ``engine`` and ``functions`` (for the error types and the
+registry) and the modules it calls, and no others.  ``integrate`` loads
+the builder only when it has to build a primitive.
 """
 
 from __future__ import annotations
@@ -18,19 +24,13 @@ import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from . import builder
-from .builder import build_primitive
 from .core import NewtonCalcError
-from .engine import newton_integral, pair_from_primitive
-from .fubini import (asymmetry_counterexample, decay_bounded_fubini,
-                     iterated_rectangle, special_infinite_fubini)
-from .functions import (UnknownFunction, factorial_product,
-                        get_bivariate, get_function, pair_for)
-from .laplace import gamma_integral, gauss_integral, stirling_via_laplace
-from .sums import incomplete_stirling, monotone_sum_vs_integral
-from .wallis import three_way
+from .functions import UnknownFunction
+
+if TYPE_CHECKING:
+    from .builder import PiecewisePrimitive
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -97,6 +97,9 @@ def _emit(command: str, columns: Sequence[str], rows: List[dict],
 # ---------------------------------------------------------------------------
 
 def _cmd_stirling(args, out) -> int:
+    from .laplace import stirling_via_laplace
+    from .sums import incomplete_stirling
+
     methods = ["sum", "laplace"] if args.method == "both" else [args.method]
     columns = ["n", "method", "log_factorial_exact", "approximation",
                "abs_error", "predicted_bound", "within_bound"]
@@ -121,6 +124,8 @@ def _cmd_stirling(args, out) -> int:
 
 
 def _cmd_gauss(args, out) -> int:
+    from .laplace import gauss_integral
+
     value = gauss_integral()
     reference = math.sqrt(math.pi)
     residual = abs(value - reference)
@@ -132,6 +137,8 @@ def _cmd_gauss(args, out) -> int:
 
 
 def _cmd_wallis(args, out) -> int:
+    from .wallis import three_way
+
     columns = ["n", "by_recurrence", "by_integral", "by_closed_form",
                "max_pairwise_rel_err", "agree"]
 
@@ -154,6 +161,9 @@ def _cmd_wallis(args, out) -> int:
 
 
 def _cmd_gamma(args, out) -> int:
+    from .functions import factorial_product
+    from .laplace import gamma_integral
+
     value = gamma_integral(args.n, args.mode)
     reference = factorial_product(args.n)
     rel_err = abs(value - reference) / reference
@@ -167,6 +177,9 @@ def _cmd_gamma(args, out) -> int:
 
 
 def _cmd_sumint(args, out) -> int:
+    from .functions import get_function
+    from .sums import monotone_sum_vs_integral
+
     nf = get_function(args.function_id)
     if nf.primitive is None:
         raise UnknownFunction(
@@ -211,13 +224,15 @@ _parse_epsilon.__name__ = "epsilon"
 
 
 def _cached_build(fn, lo: float, hi: float,
-                  cache_path: Path) -> builder.PiecewisePrimitive:
+                  cache_path: Path) -> PiecewisePrimitive:
     """build_primitive(fn, (lo, hi)) through the blob at cache_path."""
+    from . import builder
+
     try:
         return builder.loads(cache_path.read_text())
     except (FileNotFoundError, ValueError):
         pass  # no blob, or an unreadable one: rebuilt and rewritten
-    P = build_primitive(fn, (lo, hi))
+    P = builder.build_primitive(fn, (lo, hi))
     cache_path.parent.mkdir(parents=True, exist_ok=True)
     # temp file plus rename: no reader sees a partial blob
     tmp = tempfile.NamedTemporaryFile("w", dir=cache_path.parent,
@@ -233,6 +248,9 @@ def _cached_build(fn, lo: float, hi: float,
 
 
 def _cmd_integrate(args, out) -> int:
+    from .engine import newton_integral
+    from .functions import get_function, pair_for
+
     nf = get_function(args.function_id)
     lo, hi = args.lo, args.hi
     finite = math.isfinite(lo) and math.isfinite(hi)
@@ -240,6 +258,9 @@ def _cmd_integrate(args, out) -> int:
         pair = pair_for(args.function_id, lo, hi)
         built_level = None
     elif finite:
+        from . import builder
+        from .engine import pair_from_primitive
+
         if args.cache_dir:
             key = f"{args.function_id}_{lo!r}_{hi!r}_v{builder.SERIALIZATION_VERSION}.json"
             cache_path = Path(args.cache_dir) / key.replace("/", "_")
@@ -249,7 +270,7 @@ def _cmd_integrate(args, out) -> int:
                 raise ValueError(f"cache path {exc.filename or cache_path}: "
                                  f"{exc.strerror or exc}") from exc
         else:
-            P = build_primitive(nf.fn, (lo, hi))
+            P = builder.build_primitive(nf.fn, (lo, hi))
         pair = pair_from_primitive(P, nf.fn)
         built_level = P.refinement_level
     else:
@@ -269,6 +290,10 @@ def _cmd_integrate(args, out) -> int:
 
 
 def _cmd_fubini(args, out) -> int:
+    from .fubini import (asymmetry_counterexample, decay_bounded_fubini,
+                         iterated_rectangle, special_infinite_fubini)
+    from .functions import get_bivariate
+
     columns = ["case", "param", "value_xy", "value_yx", "discrepancy",
                "full_value", "bound_a", "bound_b", "analytic_tail", "holds"]
     rows: List[dict] = []

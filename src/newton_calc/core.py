@@ -27,7 +27,9 @@ its scalar loop _evaluated (RealFunction.many and .at,
 BivariateFunction.grid): a value that raises an ArithmeticError or
 ValueError or is not finite, or a vector twin's value of another shape
 than the points', is an EvaluationFailure naming the integrand's label
-and the first failing point.
+and the first failing point.  Both integrand wrappers live here beside
+the guard, so the function registry, which only holds integrands, loads
+no integration code.
 
 All arithmetic is binary64.  Every operation here is pure given pure
 inputs, so concurrent use needs no locking.
@@ -49,6 +51,7 @@ __all__ = [
     "Interval",
     "RealFunction",
     "real_function",
+    "BivariateFunction",
     "LimitConfig",
     "LimitResult",
     "DEFAULT_LIMIT_CONFIG",
@@ -216,6 +219,47 @@ def real_function(f: Union[RealFunction, Callable[[float], float]]
     if isinstance(f, RealFunction):
         return f
     return RealFunction(f, label=getattr(f, "__name__", ""))
+
+
+@dataclass(frozen=True)
+class BivariateFunction:
+    """A pure (x, y) -> real evaluation with an optional vectorized twin.
+
+    vector_fn receives broadcastable arrays and must evaluate elementwise,
+    to their broadcast shape.
+    """
+
+    fn: Callable[[float, float], float]
+    label: str = ""
+    vector_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def __call__(self, x: float, y: float) -> float:
+        return float(self.fn(x, y))
+
+    def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """xs (rows) by ys (columns), under RealFunction.many's guard."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+
+        def at(i: int) -> str:
+            x, y = xs[i // len(ys)].item(), ys[i % len(ys)].item()
+            return f"(x, y)=({x!r}, {y!r})"
+
+        return _guarded(self.fn, self.vector_fn, (xs[:, None], ys[None, :]),
+                        (len(xs), len(ys)), self.label, at)
+
+    def section_at_x(self, x: float) -> RealFunction:
+        fn, vec, at = self.fn, self.vector_fn, float(x)
+        vector = None if vec is None else (
+            lambda ys: vec(np.full_like(ys, at), ys))
+        return RealFunction(lambda y: fn(at, y),
+                            label=f"{self.label}({x}, .)", vector_fn=vector)
+
+    def transposed(self) -> "BivariateFunction":
+        fn = self.fn
+        vec = self.vector_fn
+        tvec = None if vec is None else (lambda xs, ys: vec(ys, xs))
+        return BivariateFunction(lambda x, y: fn(y, x),
+                                 label=f"{self.label}^T", vector_fn=tvec)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Tuple, Union
 
 import numpy as np
 
-from .builder import PiecewisePrimitive
 from .core import (DEFAULT_LIMIT_CONFIG, Interval, LimitConfig, LimitResult,
                    NewtonCalcError, RealFunction, as_interval,
                    chebyshev_samples, endpoint_limit, real_function)
+
+if TYPE_CHECKING:  # an annotation only, so loading engine loads no builder
+    from .builder import PiecewisePrimitive
 
 __all__ = [
     "PrimitivePair",

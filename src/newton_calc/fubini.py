@@ -18,9 +18,12 @@ mesh of the lowest level that can stall in one ``grid`` call, whose
 columns hold every coarser level, then each finer level's midpoints.
 That floor is the config's ``min_refinement``, the same for the inner
 rows as for the outer build, so each problem family sets it (see
-``_special_cfg``).  ``grid`` evaluates under the integrand guard,
-``core._guarded``, like ``RealFunction.many``.  Every outer node stalls on
-its own, so an inner value depends on its node alone.
+``_special_cfg``).  Every outer node stalls on its own, so an inner value
+depends on its node alone.
+
+``BivariateFunction`` is defined in ``core``, beside the integrand guard
+its ``grid`` calls, and re-exported here, so the function registry holds
+bivariate integrands without loading this module.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .builder import (MAX_REFINEMENT, BuildConfig, RefinementExhausted,
                       _dyadic_levels, _stalled, build_primitive, ray_integral)
-from .core import (DecayViolation, Interval, RealFunction, _guarded,
+from .core import (BivariateFunction, DecayViolation, Interval, RealFunction,
                    as_interval)
 from .engine import PrimitivePair, newton_integral
 
@@ -56,47 +59,6 @@ __all__ = [
     "bound_B_at",
     "gaussian_half_line_built",
 ]
-
-
-@dataclass(frozen=True)
-class BivariateFunction:
-    """A pure (x, y) -> real evaluation with an optional vectorized twin.
-
-    vector_fn receives broadcastable arrays and must evaluate elementwise,
-    to their broadcast shape.
-    """
-
-    fn: Callable[[float, float], float]
-    label: str = ""
-    vector_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __call__(self, x: float, y: float) -> float:
-        return float(self.fn(x, y))
-
-    def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """xs (rows) by ys (columns), under RealFunction.many's guard."""
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-
-        def at(i: int) -> str:
-            x, y = xs[i // len(ys)].item(), ys[i % len(ys)].item()
-            return f"(x, y)=({x!r}, {y!r})"
-
-        return _guarded(self.fn, self.vector_fn, (xs[:, None], ys[None, :]),
-                        (len(xs), len(ys)), self.label, at)
-
-    def section_at_x(self, x: float) -> RealFunction:
-        fn, vec, at = self.fn, self.vector_fn, float(x)
-        vector = None if vec is None else (
-            lambda ys: vec(np.full_like(ys, at), ys))
-        return RealFunction(lambda y: fn(at, y),
-                            label=f"{self.label}({x}, .)", vector_fn=vector)
-
-    def transposed(self) -> "BivariateFunction":
-        fn = self.fn
-        vec = self.vector_fn
-        tvec = None if vec is None else (lambda xs, ys: vec(ys, xs))
-        return BivariateFunction(lambda x, y: fn(y, x),
-                                 label=f"{self.label}^T", vector_fn=tvec)
 
 
 def bivariate(f: Union[BivariateFunction, Callable[[float, float], float]]
@@ -292,23 +254,6 @@ def tail_constants() -> Tuple[float, float, float]:
     1/2.
     """
     return gaussian_half_line_built(), 1.5 ** 1.5 * math.exp(-1.5), 0.5
-
-
-def pair_from_inner_closed_form(z: float) -> PrimitivePair:
-    """PrimitivePair for x -> x exp(-x^2 (1+z^2)) on (0, inf) at fixed z."""
-    s = 1.0 + z * z
-
-    def integrand(x: float) -> float:
-        return x * math.exp(-x * x * s)
-
-    def primitive(x: float) -> float:
-        return -math.exp(-x * x * s) / (2.0 * s)
-
-    return PrimitivePair(
-        RealFunction(integrand, vector_fn=lambda xs: xs * np.exp(-xs * xs * s)),
-        RealFunction(primitive,
-                     vector_fn=lambda xs: -np.exp(-xs * xs * s) / (2.0 * s)),
-        Interval(0.0, math.inf))
 
 
 def bound_A_at(b: float) -> float:

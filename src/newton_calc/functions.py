@@ -13,9 +13,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import Interval, NewtonCalcError, RealFunction
+from .core import BivariateFunction, Interval, NewtonCalcError, RealFunction
 from .engine import PrimitivePair
-from .fubini import BivariateFunction
 
 __all__ = [
     "NamedFunction",

@@ -29,7 +29,6 @@ from .core import (Interval, NewtonCalcError, PRECISE_LIMIT_CONFIG,
                    RealFunction)
 from .engine import IdentityReport, PrimitivePair, newton_integral
 from .functions import factorial_product, gamma_pair
-from .fubini import pair_from_inner_closed_form
 from .sums import AsymptoticRecord, log_factorial
 
 __all__ = [
@@ -290,6 +289,23 @@ def reduce_to_gauss(cfg: LaplaceConfig) -> IdentityReport:
 # ---------------------------------------------------------------------------
 # the Gaussian integral by iterated integration
 # ---------------------------------------------------------------------------
+
+def pair_from_inner_closed_form(z: float) -> PrimitivePair:
+    """PrimitivePair for x -> x exp(-x^2 (1+z^2)) on (0, inf) at fixed z."""
+    s = 1.0 + z * z
+
+    def integrand(x: float) -> float:
+        return x * math.exp(-x * x * s)
+
+    def primitive(x: float) -> float:
+        return -math.exp(-x * x * s) / (2.0 * s)
+
+    return PrimitivePair(
+        RealFunction(integrand, vector_fn=lambda xs: xs * np.exp(-xs * xs * s)),
+        RealFunction(primitive,
+                     vector_fn=lambda xs: -np.exp(-xs * xs * s) / (2.0 * s)),
+        Interval(0.0, math.inf))
+
 
 @lru_cache(maxsize=None)
 def gauss_integral() -> float:

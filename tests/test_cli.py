@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from newton_calc import builder, cli
+from newton_calc import builder, fubini
 from newton_calc.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -313,13 +314,14 @@ def test_fubini_counterexample_past_exp_underflow():
 
 
 def test_fubini_decay_exits_on_the_reports_verdict(monkeypatch):
-    real = cli.decay_bounded_fubini
+    # the handler imports the function when it runs, so patch its module
+    real = fubini.decay_bounded_fubini
 
     def refuted(*args, **kwargs):
         rep, history = real(*args, **kwargs)
         return dataclasses.replace(rep, holds=False), history
 
-    monkeypatch.setattr(cli, "decay_bounded_fubini", refuted)
+    monkeypatch.setattr(fubini, "decay_bounded_fubini", refuted)
     code, text = run_cli("fubini", "--case", "decay", "--function-id",
                          "inverse-quartic", "--schedule", "4", "8")
     # every row agrees; the exit code is the report's
@@ -400,6 +402,56 @@ def test_console_script_takes_the_module_entry():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"newton-calc": "newton_calc.__main__:main"}
+
+
+# each command loads the modules it calls and no others; every command
+# loads cli, core, engine and functions
+FOOTPRINTS = {
+    ("--help",): set(),
+    ("integrate", "--function-id", "cos", "--lo", "0", "--hi", "1.5707963"):
+        set(),
+    ("sumint", "--function-id", "log", "--a", "1", "--b", "100"): {"sums"},
+    ("integrate", "--function-id", "exp-neg-square", "--lo", "0", "--hi", "1"):
+        {"builder"},
+    ("fubini", "--case", "rect", "--function-id", "plane",
+     "--bounds", "0", "1", "0", "2"): {"builder", "fubini"},
+    ("stirling", "--n", "10", "100", "1000", "--method", "both"):
+        {"builder", "sums", "laplace"},
+    ("gauss", "--format", "json"): {"builder", "sums", "laplace"},
+    ("gamma", "--n", "12", "--mode", "numeric"): {"builder", "sums", "laplace"},
+    ("wallis", "--n-max", "30"): {"builder", "sums", "wallis"},
+}
+
+LOADED_MODULES = """\
+import io, json, sys
+from newton_calc.cli import main
+try:
+    main(sys.argv[1:], out=io.StringIO())
+except SystemExit:  # --help, after the usage
+    pass
+print(json.dumps([m for m in sys.modules if m.startswith("newton_calc.")]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_calls():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def loaded(argv):
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.splitlines()[-1]
+        return {m.rpartition(".")[2] for m in json.loads(last)}
+
+    # two fresh interpreters at a time
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = dict(zip(FOOTPRINTS, pool.map(loaded, FOOTPRINTS)))
+    base = {"cli", "core", "engine", "functions"}
+    assert got == {argv: base | extra for argv, extra in FOOTPRINTS.items()}
 
 
 def test_negative_infinite_bound_in_equals_form():

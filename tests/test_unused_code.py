@@ -318,12 +318,11 @@ def test_each_name_kept_for_tests_is_used_by_its_test():
 
 
 # the private names one module of src/ may import from another: the mesh
-# kernel and stall rule that builds and inner integrals share, the
-# integrand guard, and the x log x - x that sums takes from functions
+# kernel and stall rule that builds and inner integrals share, and the
+# x log x - x that sums takes from functions
 _PRIVATE_IMPORTS = {
     ("fubini.py", "builder", "_dyadic_levels"),
     ("fubini.py", "builder", "_stalled"),
-    ("fubini.py", "core", "_guarded"),
     ("sums.py", "functions", "_xlogx_minus_x"),
 }
 

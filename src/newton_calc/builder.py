@@ -32,7 +32,6 @@ The result vanishes exactly at the left endpoint (the first ``w`` is 0).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
@@ -398,6 +397,8 @@ def derivative_check(P: PiecewisePrimitive,
 
 def dumps(P: PiecewisePrimitive) -> str:
     """P as the JSON blob of the CLI's primitive cache."""
+    import json  # only the CLI's --cache-dir uses the blobs
+
     return json.dumps({
         "version": SERIALIZATION_VERSION,
         "breakpoints": P.breakpoints.tolist(),
@@ -408,6 +409,8 @@ def dumps(P: PiecewisePrimitive) -> str:
 
 def loads(text: str) -> PiecewisePrimitive:
     """Inverse of dumps; raises ValueError for any blob it cannot read."""
+    import json
+
     try:
         blob = json.loads(text)
         if blob.get("version") != SERIALIZATION_VERSION:

@@ -5,36 +5,40 @@ Floats are printed with 15 significant digits so identical invocations
 produce byte-identical output.  Exit codes: 0 all checks passed, 2 a
 numerical check failed, 64 usage error (including unknown registry ids,
 arguments out of a function's range, an interval outside the domain of a
-registry antiderivative, and an unusable --cache-dir).
+registry antiderivative, and an unusable --cache-dir), 74 stdout closed
+(returned by ``__main__.run``, which owns the process).
 
 Start-up, not computation, dominates most commands, so each handler
 imports the library functions it calls when it runs: a command loads
 ``core``, ``engine`` and ``functions`` (for the error types and the
 registry) and the modules it calls, and no others.  ``integrate`` loads
-the builder only when it has to build a primitive.
+the builder only when it has to build a primitive.  The same holds for
+the standard library: ``json`` loads only for ``--format json`` (and with
+the builder's cache blobs), ``pathlib`` and ``tempfile`` only with
+``--cache-dir``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-import tempfile
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .core import NewtonCalcError
 from .functions import UnknownFunction
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .builder import PiecewisePrimitive
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64
+EXIT_IOERR = 74  # sysexits' EX_IOERR
 
 SCHEMA_VERSION = 1  # of every command's JSON output
 
@@ -68,6 +72,8 @@ def _emit(command: str, columns: Sequence[str], rows: List[dict],
         for row in rows:
             out.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
         return
+    import json
+
     # hand-rolled JSON so floats keep the fixed 15-digit rendering
     def scalar(value) -> str:
         if isinstance(value, bool):
@@ -226,6 +232,8 @@ _parse_epsilon.__name__ = "epsilon"
 def _cached_build(fn, lo: float, hi: float,
                   cache_path: Path) -> PiecewisePrimitive:
     """build_primitive(fn, (lo, hi)) through the blob at cache_path."""
+    import tempfile
+
     from . import builder
 
     try:
@@ -262,6 +270,8 @@ def _cmd_integrate(args, out) -> int:
         from .engine import pair_from_primitive
 
         if args.cache_dir:
+            from pathlib import Path
+
             key = f"{args.function_id}_{lo!r}_{hi!r}_v{builder.SERIALIZATION_VERSION}.json"
             cache_path = Path(args.cache_dir) / key.replace("/", "_")
             try:

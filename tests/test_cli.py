@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
 from newton_calc import builder, fubini
-from newton_calc.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from newton_calc.cli import (EXIT_CHECK_FAILED, EXIT_IOERR, EXIT_OK,
+                             EXIT_USAGE, main)
+from test_golden_cli import README_COMMANDS, golden
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -367,14 +374,19 @@ sys.meta_path.insert(0, Spy())
 """
 
 
+def _env(*paths, **variables):
+    """os.environ with the paths and src/ ahead on PYTHONPATH."""
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*map(str, paths), str(SRC)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def _run_module(tmp_path, preset):
     """stderr of `-m newton_calc gamma --n 6` under the numpy import spy."""
     (tmp_path / "sitecustomize.py").write_text(NUMPY_IMPORT_SPY)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(tmp_path), src] + ([env["PYTHONPATH"]]
-                                if env.get("PYTHONPATH") else []))
+    env = _env(tmp_path)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
@@ -401,11 +413,99 @@ def test_console_script_takes_the_module_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-    assert scripts == {"newton-calc": "newton_calc.__main__:main"}
+    assert scripts == {"newton-calc": "newton_calc.__main__:run"}
+
+
+@pytest.fixture
+def entry(monkeypatch):
+    """newton_calc.__main__.run; the collector is unfrozen after the test."""
+    # importing the entry asks for one BLAS thread: undone after the test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    from newton_calc.__main__ import run
+    gc.unfreeze()
+    yield run
+    gc.unfreeze()
+
+
+def test_run_freezes_the_collector_on_every_exit(entry, capsys):
+    assert entry(["gauss", "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == golden("gauss")
+    assert gc.get_freeze_count() > 0
+    gc.unfreeze()
+    with pytest.raises(SystemExit) as info:  # a usage error leaves by raising
+        entry(["stirling"])
+    assert info.value.code == EXIT_USAGE
+    assert gc.get_freeze_count() > 0
+
+
+@pytest.mark.usefixtures("entry")
+def test_main_leaves_the_collector_alone():
+    assert main(["gauss"], out=io.StringIO()) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+
+
+def _module(argv):
+    return subprocess.run([sys.executable, "-m", "newton_calc", *argv],
+                          capture_output=True, text=True, env=_env(),
+                          timeout=60)
+
+
+@pytest.mark.parametrize("name", ["gauss", "fubini_rect"])
+def test_module_entry_prints_the_golden_output(name):
+    proc = _module(README_COMMANDS[name])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (EXIT_OK, golden(name), "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("sumint --function-id log --a 0 --b 10", EXIT_CHECK_FAILED),
+    ("integrate --function-id reciprocal-square --lo=-1 --hi 1", EXIT_USAGE),
+    ("stirling", EXIT_USAGE),
+])
+def test_module_entry_exit_codes(argv, code):
+    proc = _module(argv.split())
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def _one_line_ioerr(proc):
+    assert proc.returncode == EXIT_IOERR
+    assert proc.stderr.startswith("newton-calc: stdout")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_closed_stdout_exits_74():
+    # the shell starts the interpreter with fd 1 closed: sys.stdout is None
+    proc = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m newton_calc gauss >&-",
+        shell=True, capture_output=True, text=True, env=_env(), timeout=60)
+    _one_line_ioerr(proc)
+
+
+# unbuffered, the pipe breaks as a row is written; buffered, at the flush
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_stdout_pipe_without_a_reader_exits_74(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "newton_calc", "wallis", "--n-max", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    _one_line_ioerr(proc)  # and no "Exception ignored" from the shutdown flush
 
 
 # each command loads the modules it calls and no others; every command
-# loads cli, core, engine and functions
+# loads cli, core, engine and functions, and none of the standard library's
+# json, pathlib and tempfile unless it prints JSON or caches
+CACHE = "{cache}"  # a fresh directory
+
 FOOTPRINTS = {
     ("--help",): set(),
     ("integrate", "--function-id", "cos", "--lo", "0", "--hi", "1.5707963"):
@@ -413,39 +513,43 @@ FOOTPRINTS = {
     ("sumint", "--function-id", "log", "--a", "1", "--b", "100"): {"sums"},
     ("integrate", "--function-id", "exp-neg-square", "--lo", "0", "--hi", "1"):
         {"builder"},
+    ("integrate", "--function-id", "exp-neg-square", "--lo", "0", "--hi", "1",
+     "--cache-dir", CACHE): {"builder", "json", "pathlib", "tempfile"},
     ("fubini", "--case", "rect", "--function-id", "plane",
      "--bounds", "0", "1", "0", "2"): {"builder", "fubini"},
     ("stirling", "--n", "10", "100", "1000", "--method", "both"):
         {"builder", "sums", "laplace"},
-    ("gauss", "--format", "json"): {"builder", "sums", "laplace"},
+    ("gauss", "--format", "json"): {"builder", "sums", "laplace", "json"},
     ("gamma", "--n", "12", "--mode", "numeric"): {"builder", "sums", "laplace"},
     ("wallis", "--n-max", "30"): {"builder", "sums", "wallis"},
 }
 
+# prints the loaded package modules and the three standard-library ones
 LOADED_MODULES = """\
-import io, json, sys
+import io, sys
 from newton_calc.cli import main
 try:
     main(sys.argv[1:], out=io.StringIO())
 except SystemExit:  # --help, after the usage
     pass
-print(json.dumps([m for m in sys.modules if m.startswith("newton_calc.")]))
+print(" ".join(m.rpartition(".")[2] for m in list(sys.modules)
+               if m.startswith("newton_calc.")
+               or m in ("json", "pathlib", "tempfile")))
 """
 
 
-def test_each_command_loads_only_the_modules_it_calls():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def test_each_command_loads_only_the_modules_it_calls(tmp_path):
+    # -S: the site module here preloads pathlib and tempfile through a .pth
+    # file, so only numpy's own directory goes on the path
+    env = _env(Path(np.__file__).parents[1], OPENBLAS_NUM_THREADS="1")
 
     def loaded(argv):
-        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
+        argv = [str(tmp_path) if a == CACHE else a for a in argv]
+        proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES,
+                               *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        last = proc.stdout.splitlines()[-1]
-        return {m.rpartition(".")[2] for m in json.loads(last)}
+        return set(proc.stdout.splitlines()[-1].split())
 
     # two fresh interpreters at a time
     with ThreadPoolExecutor(max_workers=2) as pool:

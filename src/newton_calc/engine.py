@@ -175,8 +175,7 @@ def newton_integral(pair: PrimitivePair,
     value = upper.value - lower.value
     if reverse:
         value = -value
-    return IntegralResult(value=value, lower_limit=lower, upper_limit=upper,
-                          reversed_orientation=reverse)
+    return IntegralResult(value, lower, upper, reverse)
 
 
 def hake_check(pair: PrimitivePair, cfg: LimitConfig = DEFAULT_LIMIT_CONFIG

@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
                         "--option=VALUE form, such as --lo=-inf")
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops an OSError from the write.  On stdout (-h) that
+        # hides a pipe with no reader when stdout is unbuffered, so there
+        # the BrokenPipeError goes on to __main__.run, as a buffered one
+        # does from run's flush
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):

@@ -482,9 +482,7 @@ def test_closed_stdout_exits_74():
     _one_line_ioerr(proc)
 
 
-# unbuffered, the pipe breaks as a row is written; buffered, at the flush
-@pytest.mark.parametrize("unbuffered", [True, False])
-def test_stdout_pipe_without_a_reader_exits_74(unbuffered):
+def _into_pipe_without_a_reader(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = _env()
@@ -492,13 +490,25 @@ def test_stdout_pipe_without_a_reader_exits_74(unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "newton_calc", "wallis", "--n-max", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "newton_calc", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
             timeout=60)
     finally:
         os.close(write_end)
+
+
+# unbuffered, the pipe breaks as a row is written; buffered, at the flush
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_stdout_pipe_without_a_reader_exits_74(unbuffered):
+    proc = _into_pipe_without_a_reader(["wallis", "--n-max", "3"], unbuffered)
     _one_line_ioerr(proc)  # and no "Exception ignored" from the shutdown flush
+
+
+# argparse writes the help itself, and drops an OSError from that write
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_help_into_a_pipe_without_a_reader_exits_74(unbuffered):
+    _one_line_ioerr(_into_pipe_without_a_reader(["--help"], unbuffered))
 
 
 # each command loads the modules it calls and no others; every command

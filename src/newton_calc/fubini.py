@@ -271,8 +271,17 @@ def _special_cfg(b: float) -> BuildConfig:
     # the two orders must agree to ~1e-8 at small b; at larger b the
     # truncated values only feed tail-bound certificates with 1e-1-scale
     # slack (the truncation gap itself decays like b**-1/2, so chasing
-    # digits there buys nothing)
-    gap = 5e-8 if b <= 2.0 else 1e-5
+    # digits there buys nothing).  Past b = 32 an inner row's stall target,
+    # gap * b, must stay below the narrowest row's mass 1/(2 (1 + b**2)),
+    # the yx row at z = b: at 1e-5 it did not, and yx was 1.3e-4 relative
+    # off at b = 40 and 3.1e-4 at 64.  Half that mass keeps both orders
+    # within 1e-6 relative from b = 36 to 64
+    if b <= 2.0:
+        gap = 5e-8
+    elif b <= 32.0:
+        gap = 1e-5
+    else:
+        gap = 0.5 / (2.0 * (1.0 + b * b)) / b
     # the narrowest section, x exp(-x^2 (1 + b^2)) at z = b, is a bump
     # about 1/b wide against x = 0; a floor spacing b / 2**m at most that
     # wide needs 2**m >= b**2.  At floor 8 that row stalled on the floor

@@ -341,14 +341,15 @@ def _stalled_limit(fn: Callable[[float], float], endpoint: float,
     and names x_of(x), where the caller's function was evaluated; both run
     only on the way to raising.
 
-    A step is one call of fn, its float() and its finiteness check, and a
-    few float operations; fn is the caller's own callable, not a wrapper
-    around it.  The offsets divide by a table of the exact powers 4**k and
-    sign (+1.0 or -1.0) is folded into start once, which rounds the same
-    as sign * (start / 4**k), so the points, values, columns, stalls and
-    step counts are those of the plain formulas bit for bit: on a 2-core
-    x86_64 machine one step costs about 0.35 us besides fn, and
-    newton_integral of cos on (0.3, 1.2), 18 steps, about 11 us.
+    A step is one call of fn (the caller's own callable, not a wrapper
+    around it), its float() and finiteness check, and a few float
+    operations on locals.  The offsets divide by a table of the exact
+    powers 4**k, and sign (+1.0 or -1.0) is folded into start once, which
+    rounds the same as sign * (start / 4**k).  So the points, values,
+    columns, stalls, step counts and errors are those of the plain
+    formulas bit for bit (tests/golden/limits.json), and a step costs
+    about 0.35 us besides fn on a 2-core x86_64 machine, against 0.56 us
+    with a power and a wrapper call per step.
     """
     isfinite, tol, slack = math.isfinite, cfg.stall_tolerance, _RATIO_SLACK
     factor = _APPROACH_FACTOR

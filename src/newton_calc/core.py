@@ -347,9 +347,9 @@ def _stalled_limit(fn: Callable[[float], float], endpoint: float,
     powers 4**k, and sign (+1.0 or -1.0) is folded into start once, which
     rounds the same as sign * (start / 4**k).  So the points, values,
     columns, stalls, step counts and errors are those of the plain
-    formulas bit for bit (tests/golden/limits.json), and a step costs
-    about 0.35 us besides fn on a 2-core x86_64 machine, against 0.56 us
-    with a power and a wrapper call per step.
+    formulas bit for bit (tests/golden/limits.json).  A step costs about
+    0.35 us besides fn on a 2-core x86_64 machine, against 0.56 us with a
+    power and a wrapper call per step.
     """
     isfinite, tol, slack = math.isfinite, cfg.stall_tolerance, _RATIO_SLACK
     factor = _APPROACH_FACTOR

@@ -28,7 +28,6 @@ bivariate integrands without loading this module.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,8 +35,8 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .builder import (MAX_REFINEMENT, BuildConfig, RefinementExhausted,
-                      _dyadic_levels, _stalled, build_primitive, ray_integral)
+from .builder import (BuildConfig, RefinementExhausted, _dyadic_levels,
+                      _stalled, build_primitive, ray_integral)
 from .core import (BivariateFunction, DecayViolation, Interval, RealFunction,
                    as_interval)
 from .engine import PrimitivePair, newton_integral
@@ -110,13 +109,17 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
     T_k comes from one running sum of node values per row.  No row can
     stall below the floor, cfg.min_refinement, so a batch evaluates the
     floor mesh in one grid call, like a build, and has a build's reach
-    (BuildConfig).  Every row stalls on its own gaps below the builder
-    tolerance and drops out of the evaluation, so a value depends on its
-    outer node alone, never on which nodes share its batch.
+    (BuildConfig); its levels 1..floor come from one pass over that mesh,
+    each finer level from its midpoints.  Every row stalls on its own gaps
+    below the builder tolerance and drops out of the evaluation, so a
+    value depends on its outer node alone, never on which nodes share its
+    batch.
     """
     c, d = y_iv.a, y_iv.b
     length = d - c
     target, floor = cfg.target_uniform_gap * length, cfg.min_refinement
+    # the spacings of levels 1..floor, exact, one per row of a level block
+    spacing = np.ldexp(length, -np.arange(1, floor + 1))[:, None]
     out = np.empty(len(xs), dtype=float)
 
     for start in range(0, len(xs), _INNER_CHUNK):
@@ -127,23 +130,29 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
         levels = _dyadic_levels(lambda ys: f.grid(rows, ys), c, d, floor)
         _mesh, values = next(levels)
         ends = values[:, 0] + values[:, -1]
-        sums = ends.copy()
-        # two nodes carry no quadratic: level 0's value is T_0
-        trapezoid = value = 0.5 * length * ends
-        # level k <= the floor adds every 2s-th floor node from
+        # row 0 of the block holds the two ends, row k <= floor the sum of
+        # the nodes level k adds: every 2s-th floor node from
         # s = 2**(floor - k), cut contiguous so it sums in the (pairwise)
-        # order of a fresh block
-        cuts = (np.ascontiguousarray(values[:, s::2 * s])
-                for s in reversed([1 << k for k in range(floor)]))
+        # order of a fresh block; accumulated down the block, row k is
+        # level k's running sum
+        sums = np.empty((floor + 1, len(index)))
+        sums[0] = ends
+        for k in range(1, floor + 1):
+            s = 1 << (floor - k)
+            sums[k] = np.ascontiguousarray(values[:, s::2 * s]).sum(axis=1)
+        np.add.accumulate(sums, axis=0, out=sums)
+        trapezoid = np.empty_like(sums)
+        # two nodes carry no quadratic: level 0's value is T_0
+        trapezoid[0] = 0.5 * length * ends
+        trapezoid[1:] = spacing * (sums[1:] - 0.5 * ends)
+        simpson = trapezoid.copy()
+        simpson[1:] = (4.0 * trapezoid[1:] - trapezoid[:-1]) / 3.0
+        gaps = list(np.abs(simpson[1:] - simpson[:-1]))
+        sums, trapezoid, value = sums[-1], trapezoid[-1], simpson[-1]
         finer = (new for _mesh, _mid, new in levels)
-        gaps: List[np.ndarray] = []
-        for level, new in enumerate(itertools.chain(cuts, finer), 1):
-            sums += new.sum(axis=1)
-            refined = math.ldexp(length, -level) * (sums - 0.5 * ends)
-            simpson = (4.0 * refined - trapezoid) / 3.0
-            gaps.append(np.abs(simpson - value))
-            trapezoid, value = refined, simpson
-            if level >= floor and (done := _stalled(gaps, target, 3)).any():
+        level = floor
+        while True:
+            if (done := _stalled(gaps, target, 3)).any():
                 out[index[done]] = value[done]
                 keep = ~done
                 if not keep.any():
@@ -152,10 +161,16 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
                     v[keep] for v in (index, rows, ends, sums, trapezoid,
                                       value))
                 gaps = [g[keep] for g in gaps]
-        else:
-            raise RefinementExhausted(
-                f"inner integrals did not stall within "
-                f"{MAX_REFINEMENT} refinements")
+            if (new := next(finer, None)) is None:
+                raise RefinementExhausted(
+                    f"inner integrals did not stall within {level} "
+                    f"refinements")
+            level += 1
+            sums += new.sum(axis=1)
+            refined = math.ldexp(length, -level) * (sums - 0.5 * ends)
+            simpson = (4.0 * refined - trapezoid) / 3.0
+            gaps.append(np.abs(simpson - value))
+            trapezoid, value = refined, simpson
     return out
 
 

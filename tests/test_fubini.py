@@ -215,15 +215,34 @@ def test_floor_mesh_in_one_call_is_bit_identical_to_level_by_level():
         (sin_product, rows, Interval(0.0, 2.0), RECT_CFG),
         (special_integrand(), np.linspace(0.0, 16.0, 129),
          Interval(0.0, 16.0), _special_cfg(16.0)),
+        # decay rows over a chunk boundary, stalling from their floor to
+        # levels past it
+        (BIVARIATE_REGISTRY["inverse-quartic"], np.linspace(0.0, 32.0, 1500),
+         Interval(0.0, 32.0), _DECAY_CFG),
     ]
+    # below floor 3 fewer than three floor gaps exist, so no row may stall
+    # at the floor; floor 3 is the first with three
+    for m in (1, 2, 3):
+        low = BuildConfig(target_uniform_gap=3e-7, min_refinement=m)
+        cases += [(cubic, np.array([-1.5, 0.0, 3.0]), Interval(0.0, 2.0), low),
+                  (sin_product, rows, Interval(0.0, 2.0), low)]
     assert len(rows) > _INNER_CHUNK
     for f, xs, y_iv, cfg in cases:
         got = _inner_values(f, xs, y_iv, cfg)
         assert got.tobytes() == \
-            level_by_level_inner_values(f, xs, y_iv, cfg).tobytes(), f.label
-    # the two sin-product runs evaluate more than RECT_CFG's floor of
+            level_by_level_inner_values(f, xs, y_iv, cfg).tobytes(), \
+            (f.label, cfg.min_refinement)
+    # the two sin-product runs at RECT_CFG evaluate more than its floor of
     # 2**6 + 1 nodes per row: some rows refine past it
     assert calls[0] > 2 * len(rows) * (2 ** 6 + 1)
+    # the cubic's gaps past level 1 are rounding, so on floors 1, 2 and 3
+    # each row stalls at level 4, the first whose last three gaps are
+    # rounding: 2**4 + 1 nodes
+    for m in (1, 2, 3):
+        f, calls = counting(cubic)
+        _inner_values(f, np.array([-1.5, 0.0, 3.0]), Interval(0.0, 2.0),
+                      BuildConfig(target_uniform_gap=3e-7, min_refinement=m))
+        assert calls[0] == 3 * (2 ** 4 + 1), m
 
 
 def test_non_finite_inner_node_is_named():

@@ -15,11 +15,13 @@ refined until that value stalls under the builder's stall rule
 (``_stalled``).  The meshes come from the builder's one mesh kernel
 (``_dyadic_levels``): like every build, a batch of rows evaluates the
 mesh of the lowest level that can stall in one ``grid`` call, whose
-columns hold every coarser level, then each finer level's midpoints.
-That floor is the config's ``min_refinement``, the same for the inner
-rows as for the outer build, so each problem family sets it (see
-``_special_cfg``).  Every outer node stalls on its own, so an inner value
-depends on its node alone.
+columns hold every coarser level, and computes levels 1..floor in one
+pass over it, then evaluates each finer level's midpoints.  That floor
+is the config's ``min_refinement``, the same for the inner rows as for
+the outer build, so each problem family sets it, and the special case
+one per iteration order, since its narrowest inner rows differ between
+the orders (``_special_cfg``).  Every outer node stalls on its own, so
+an inner value depends on its node alone.
 
 ``BivariateFunction`` is defined in ``core``, beside the integrand guard
 its ``grid`` calls, and re-exported here, so the function registry holds
@@ -282,27 +284,39 @@ def bound_B_at(b: float) -> float:
     return (b * b + b) * math.exp(-b) + 3.0 * c2 * b ** (-1.0 / 3.0)
 
 
-def _special_cfg(b: float) -> BuildConfig:
+def _special_cfg(b: float, order: str) -> BuildConfig:
     # the two orders must agree to ~1e-8 at small b; at larger b the
     # truncated values only feed tail-bound certificates with 1e-1-scale
     # slack (the truncation gap itself decays like b**-1/2, so chasing
-    # digits there buys nothing).  Past b = 32 an inner row's stall target,
-    # gap * b, must stay below the narrowest row's mass 1/(2 (1 + b**2)),
-    # the yx row at z = b: at 1e-5 it did not, and yx was 1.3e-4 relative
-    # off at b = 40 and 3.1e-4 at 64.  Half that mass keeps both orders
-    # within 1e-6 relative from b = 36 to 64
-    if b <= 2.0:
-        gap = 5e-8
-    elif b <= 32.0:
-        gap = 1e-5
-    else:
-        gap = 0.5 / (2.0 * (1.0 + b * b)) / b
-    # the narrowest section, x exp(-x^2 (1 + b^2)) at z = b, is a bump
+    # digits there buys nothing).  Each order gets the floor and gap its
+    # own narrowest inner row needs.
+    #
+    # yx: the narrowest row, x exp(-x^2 (1 + b^2)) at z = b, is a bump
     # about 1/b wide against x = 0; a floor spacing b / 2**m at most that
     # wide needs 2**m >= b**2.  At floor 8 that row stalled on the floor
     # and was missed, by 92 % at b = 24 (width/spacing 0.44) and whole at
-    # b = 32 (0.25), as at b = 16 on floor 6
-    floor = max(6, math.ceil(math.log2(b * b)))
+    # b = 32 (0.25), as at b = 16 on floor 6.  Past b = 32 a row's stall
+    # target, gap * b, must stay below that row's mass 1/(2 (1 + b**2)):
+    # at 1e-5 it did not, and yx was 1.3e-4 relative off at b = 40 and
+    # 3.1e-4 at 64.  Half that mass keeps it within 1e-6 from b = 36 to 64.
+    #
+    # xy: the row at x, over z, is x exp(-x^2) exp(-x^2 z^2), a Gaussian
+    # 1/x wide of mass about (sqrt(pi)/2) exp(-x^2).  Rows whose mass is
+    # below the gap target do not matter, so the narrowest row that does
+    # is at x* = sqrt(ln(1/gap)), and 2**m >= b x* is enough: floors 6, 6,
+    # 7 and 8 at b = 10, 16, 32 and 64 against the yx order's 7, 8, 10
+    # and 12.  The finer gap past b = 32 is for the yx row's mass, so xy
+    # keeps 1e-5: from b = 4 to 64 in unit steps it is then within 1e-5
+    # relative of the truncated value (9.5e-6 at b = 27 on either floor,
+    # 7.8e-6 at b = 39 against 4.5e-7 at the yx gap), far inside that slack
+    if b <= 2.0:
+        gap = 5e-8
+    elif b <= 32.0 or order == "xy":
+        gap = 1e-5
+    else:
+        gap = 0.5 / (2.0 * (1.0 + b * b)) / b
+    width = b if order == "yx" else math.sqrt(math.log(1.0 / gap))
+    floor = max(6, math.ceil(math.log2(b * width)))
     return BuildConfig(target_uniform_gap=gap, probe_grid=129,
                        min_refinement=floor)
 
@@ -310,17 +324,18 @@ def _special_cfg(b: float) -> BuildConfig:
 def special_infinite_fubini(b: float) -> IteratedIntegralReport:
     """Truncated iterated integrals of the special function plus certificates.
 
-    A(b) and B(b) are the two orders over [0, b]^2, 1 <= b <= 64; the full
-    value is the square of the half-line Gaussian integral.  The report
+    A(b) and B(b) are the two orders over [0, b]^2, 1 <= b <= 64, each on
+    its own config (``_special_cfg``); the full value is the square of the
+    half-line Gaussian integral.  The report
     holds when the measured truncation gaps sit inside the certificate's
     tail bounds.
     """
     if not 1.0 <= b <= 64.0:
         raise ValueError(f"b must be in [1, 64], got {b!r}")
-    cfg = _special_cfg(b)
     f = special_integrand()
-    a_b = iterated_rectangle(f, (0.0, b), (0.0, b), "xy", cfg)
-    b_b = iterated_rectangle(f, (0.0, b), (0.0, b), "yx", cfg)
+    a_b, b_b = (iterated_rectangle(f, (0.0, b), (0.0, b), order,
+                                   _special_cfg(b, order))
+                for order in ("xy", "yx"))
     c, _c0, _c2 = tail_constants()
     full = c * c
     cert = TailBound(c_gauss=c, bound_A=bound_A_at(b), bound_B=bound_B_at(b))

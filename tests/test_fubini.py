@@ -214,7 +214,7 @@ def test_floor_mesh_in_one_call_is_bit_identical_to_level_by_level():
          RECT_CFG),
         (sin_product, rows, Interval(0.0, 2.0), RECT_CFG),
         (special_integrand(), np.linspace(0.0, 16.0, 129),
-         Interval(0.0, 16.0), _special_cfg(16.0)),
+         Interval(0.0, 16.0), _special_cfg(16.0, "yx")),
         # decay rows over a chunk boundary, stalling from their floor to
         # levels past it
         (BIVARIATE_REGISTRY["inverse-quartic"], np.linspace(0.0, 32.0, 1500),
@@ -382,12 +382,50 @@ def test_special_truncation_outside_1_to_64_is_rejected(b):
 
 
 def test_special_floor_is_the_least_whose_spacing_is_at_most_1_over_b():
+    # the yx order's narrowest row, at z = b, is about 1/b wide
     for b in (1.0, 2.0, 4.0, 8.0, 10.0, 16.0, 24.0, 32.0, 64.0):
-        m = _special_cfg(b).min_refinement
+        m = _special_cfg(b, "yx").min_refinement
         assert b / 2 ** m <= 1.0 / b
         assert m == 6 or b / 2 ** (m - 1) > 1.0 / b
-    assert [_special_cfg(b).min_refinement for b in (8.0, 10.0, 16.0, 64.0)] \
-        == [6, 7, 8, 12]
+    assert [_special_cfg(b, "yx").min_refinement
+            for b in (8.0, 10.0, 16.0, 64.0)] == [6, 7, 8, 12]
+
+
+def test_special_xy_floor_is_the_least_whose_spacing_is_at_most_1_over_x_star():
+    # the xy order's rows that matter, mass (sqrt(pi)/2) exp(-x^2) above
+    # the gap target, lie at x <= x* = sqrt(ln(1/gap)), at least 1/x* wide
+    for b in (1.0, 2.0, 4.0, 8.0, 10.0, 16.0, 24.0, 32.0, 40.0, 64.0):
+        cfg = _special_cfg(b, "xy")
+        x_star = math.sqrt(math.log(1.0 / cfg.target_uniform_gap))
+        m = cfg.min_refinement
+        assert b / 2 ** m <= 1.0 / x_star
+        assert m == 6 or b / 2 ** (m - 1) > 1.0 / x_star
+        assert m <= _special_cfg(b, "yx").min_refinement
+    assert [_special_cfg(b, "xy").min_refinement
+            for b in (10.0, 16.0, 32.0, 64.0)] == [6, 6, 7, 8]
+    # past b = 32 only the yx row's mass needs a finer gap
+    for b in (33.0, 40.0, 64.0):
+        assert _special_cfg(b, "xy").target_uniform_gap == 1e-5
+        assert _special_cfg(b, "yx").target_uniform_gap < 1e-5
+    # up to b = 8 both orders run one config
+    for b in (1.0, 2.0, 4.0, 8.0):
+        assert _special_cfg(b, "xy") == _special_cfg(b, "yx")
+
+
+@pytest.mark.parametrize("b, lanes", [(10.0, 107_009), (16.0, 233_729),
+                                      (32.0, 1_404_289), (64.0, 4_764_161)])
+def test_special_xy_floor_reaches_the_truncated_reference(b, lanes):
+    # the xy order alone, on its own floor (6, 6, 7 and 8 here), against
+    # the closed-form inner integral over x and a midpoint rule in z; on
+    # the yx order's config (floors 7, 8, 10 and 12) it took 156,289,
+    # 571,905, 8,397,825 and 134,254,593 lanes
+    ref = special_truncated_midpoint(b)
+    assert abs(special_truncated_midpoint(b, 800_000) - ref) <= 1e-12 * ref
+    f, calls = counting(special_integrand())
+    value = iterated_rectangle(f, (0.0, b), (0.0, b), "xy",
+                               _special_cfg(b, "xy"))
+    assert abs(value - ref) <= 1e-6 * ref
+    assert calls[0] == lanes
 
 
 @pytest.mark.parametrize("b", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])

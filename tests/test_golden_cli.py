@@ -80,6 +80,13 @@ by 7.1e-12 to 9.9e-11 relative (at b = 4 from -3.9e-12 to -1.03e-10),
 within the config's 1e-7 gap target; the special case's xy value moved
 3.0e-11 closer (error +1.424813e-7 -> +1.424512e-7), and with it the
 discrepancy, 4.18503021126782e-09 -> 4.20717627402922e-09.
+fubini_special.txt moved when each iteration order of the special case
+got its own config: the xy order's floor at b = 10 went from 7 to 6
+(2**m >= b sqrt(ln(1/gap)) instead of b**2), and its value moved 1.5e-9
+relative closer to mpmath quadrature of the closed-form inner integral
+(error +1.424512e-7 -> +1.409170e-7), with it the discrepancy,
+4.20717627402922e-09 -> 5.33567356963971e-09.  value_yx and every other
+column are unchanged.
 Commands run in-process through ``cli.main``.
 """
 

@@ -64,8 +64,15 @@ class RefinementExhausted(NewtonCalcError):
     """The Cauchy criterion was not met within the refinement budget.
 
     The integrand is too rough (or the tolerance too ambitious) for the
-    allowed mesh size.
+    allowed mesh size.  A build's gap_history holds its probe-grid gaps,
+    gap_history[k-1] between levels k-1 and k, as a PiecewisePrimitive's
+    does; inner rows leave it empty and name, in the message, how many
+    rows did not stall and the largest last gap among them.
     """
+
+    def __init__(self, message: str, gap_history: Tuple[float, ...] = ()):
+        super().__init__(message)
+        self.gap_history = gap_history
 
 
 class OutOfDomain(NewtonCalcError):
@@ -97,10 +104,13 @@ class BuildConfig:
     library sets is 12 (the special Fubini case at b = 64), though
     min_refinement accepts up to 22.
 
-    The 2-D and Laplace-piece configs probe 129 points (257 cost the
-    benchmark's iterated workload 19 % more evaluations); 129 everywhere
-    stopped 18 of the 156 corpus builds a level sooner, 16 of them with
-    16 times the error, and moved W_3 from 1.8e-14 to 2.8e-13 relative.
+    The decay-bounded and special Fubini configs (fubini._DECAY_CFG,
+    fubini._special_cfg) and the Laplace pieces' (laplace._PIECE_CFG)
+    probe 129 points (257 cost the benchmark's iterated workload 19 % more
+    evaluations); every other config, fubini.RECT_CFG too, probes the
+    default 257.  129 everywhere stopped 18 of the 156 corpus builds a
+    level sooner, 16 of them with 16 times the error, and moved W_3 from
+    1.8e-14 to 2.8e-13 relative.
     """
 
     target_uniform_gap: float = 1e-8
@@ -352,7 +362,7 @@ def build_primitive(f: Union[RealFunction, Callable[[float], float]],
     raise RefinementExhausted(
         f"no Cauchy stall for {f.label or '<unnamed>'} on [{a}, {b}] within "
         f"{MAX_REFINEMENT} refinements (last gap {history[-1]:.3e}, "
-        f"target {target:.3e})")
+        f"target {target:.3e})", gap_history=history)
 
 
 def ray_integral(f: Union[RealFunction, Callable[[float], float]],

@@ -19,8 +19,12 @@ extrapolate by no more than the stall tolerance (a single small delta is
 too easy to hit by accident on an oscillating function).  Near an endpoint
 of large magnitude, where the points are rounded to a coarse grid, the
 extrapolate uses the actual offsets, so smooth limits are found up to
-|endpoint| of about 1e10; on a ray every x moves off the base, and an x
-that overflows ends the limit in NonConvergent.
+|endpoint| of about 1e10 where |F| there is moderate: the stall tolerance
+is absolute, so where the rounding of F's values exceeds it (0.5 x**2 at
+x = 2636, 3.5e6, at the default 1e-10) the limit ends in NonConvergent
+although it exists, as 21 of the 120 seeded finite integrals of
+tests/golden/limits.json do.  On a ray every x moves off the base, and
+an x that overflows ends the limit in NonConvergent.
 
 Every other evaluation of an integrand passes one guard, _guarded, or
 its scalar loop _evaluated (RealFunction.many and .at,

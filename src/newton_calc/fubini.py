@@ -166,7 +166,8 @@ def _inner_values(f: BivariateFunction, xs: np.ndarray, y_iv: Interval,
             if (new := next(finer, None)) is None:
                 raise RefinementExhausted(
                     f"inner integrals did not stall within {level} "
-                    f"refinements")
+                    f"refinements ({len(index)} rows left, largest last "
+                    f"gap {float(gaps[-1].max()):.3e}, target {target:.3e})")
             level += 1
             sums += new.sum(axis=1)
             refined = math.ldexp(length, -level) * (sums - 0.5 * ends)
@@ -326,9 +327,8 @@ def special_infinite_fubini(b: float) -> IteratedIntegralReport:
 
     A(b) and B(b) are the two orders over [0, b]^2, 1 <= b <= 64, each on
     its own config (``_special_cfg``); the full value is the square of the
-    half-line Gaussian integral.  The report
-    holds when the measured truncation gaps sit inside the certificate's
-    tail bounds.
+    half-line Gaussian integral.  The report holds when the measured
+    truncation gaps sit inside the certificate's tail bounds.
     """
     if not 1.0 <= b <= 64.0:
         raise ValueError(f"b must be in [1, 64], got {b!r}")

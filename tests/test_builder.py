@@ -170,6 +170,18 @@ def test_refinement_exhausted_on_tiny_budget(monkeypatch):
         build_primitive(COS, (0.0, math.pi / 2), cfg)
 
 
+def test_refinement_exhausted_carries_the_gap_history(monkeypatch):
+    cfg = BuildConfig(target_uniform_gap=1e-14, min_refinement=1)
+    full = build_primitive(COS, (0.0, math.pi / 2), cfg).gap_history
+    assert len(full) > 5
+    monkeypatch.setattr(builder, "MAX_REFINEMENT", 5)
+    with pytest.raises(RefinementExhausted) as info:
+        build_primitive(COS, (0.0, math.pi / 2), cfg)
+    # the gaps of levels 1..5, as a build that refines past them records
+    assert info.value.gap_history == full[:5]
+    assert f"(last gap {full[4]:.3e}, target" in str(info.value)
+
+
 # NaN only at the first midpoint, so the refined levels are checked too
 NAN_AT_HALF = RealFunction(lambda x: math.nan if x == 0.5 else 1.0,
                            label="nan-at-half")

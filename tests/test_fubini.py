@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from newton_calc import fubini
+from newton_calc import builder, fubini
 from newton_calc.builder import (BuildConfig, RefinementExhausted,
                                  _dyadic_levels, _stalled, build_primitive)
 from newton_calc.core import DecayViolation, EvaluationFailure, Interval
@@ -243,6 +243,34 @@ def test_floor_mesh_in_one_call_is_bit_identical_to_level_by_level():
         _inner_values(f, np.array([-1.5, 0.0, 3.0]), Interval(0.0, 2.0),
                       BuildConfig(target_uniform_gap=3e-7, min_refinement=m))
         assert calls[0] == 3 * (2 ** 4 + 1), m
+
+
+def test_inner_rows_that_do_not_stall_are_counted_with_their_last_gap(
+        monkeypatch):
+    # at a 1e-15 gap target no row of sin(x y) but x = 0 stalls by level 8
+    monkeypatch.setattr(builder, "MAX_REFINEMENT", 8)
+    f = BIVARIATE_REGISTRY["sin-product"]
+    xs = np.array([0.0, 1.0, 2.0, 5.0])
+    cfg = BuildConfig(target_uniform_gap=1e-15, min_refinement=6)
+    with pytest.raises(RefinementExhausted) as info:
+        _inner_values(f, xs, Interval(0.0, 2.0), cfg)
+    message = str(info.value)
+    assert message.startswith(
+        "inner integrals did not stall within 8 refinements (3 rows left, "
+        "largest last gap ")
+    assert message.endswith(", target 2.000e-15)")
+    assert info.value.gap_history == ()
+
+    # level k's value is composite Simpson on 2**k intervals
+    def simpson(x, k):
+        ys = np.linspace(0.0, 2.0, 2 ** k + 1)
+        w = np.ones(2 ** k + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        return float(np.dot(w, np.sin(x * ys))) * (2.0 / 2 ** k) / 3.0
+
+    largest = max(abs(simpson(x, 8) - simpson(x, 7)) for x in xs[1:])
+    assert message.split("largest last gap ")[1].split(",")[0] == \
+        f"{largest:.3e}"
 
 
 def test_non_finite_inner_node_is_named():
